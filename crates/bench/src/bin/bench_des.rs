@@ -28,7 +28,7 @@ use std::time::Instant;
 use bench::{print_table, section};
 use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster_mix, run_cluster_mix_traced, CalibrationCache, ClusterReport, ClusterSpec,
+    run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, ClusterReport, ClusterSpec,
     PoissonArrivals, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
@@ -77,7 +77,7 @@ fn run_tier(
     granularity: StepGranularity,
     continuous: bool,
 ) -> Result<Tier, helm_core::HelmError> {
-    let spec = ClusterSpec::new(1)
+    let spec = ClusterSpec::default()
         .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
         .with_record(record)
         .with_backend(backend)
@@ -85,7 +85,14 @@ fn run_tier(
         .with_continuous(continuous);
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, 4242);
     let started = Instant::now();
-    let report = run_cluster_mix(groups, workload, &mut arrivals, num_requests, spec)?;
+    let report = run_cluster_mix_cached(
+        groups,
+        workload,
+        &mut arrivals,
+        num_requests,
+        spec,
+        &mut CalibrationCache::new(),
+    )?;
     Ok(Tier {
         num_requests,
         wall_s: started.elapsed().as_secs_f64(),
@@ -341,7 +348,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StepGranularity::default(),
         false,
     )?;
-    let spec = ClusterSpec::new(1)
+    let spec = ClusterSpec::default()
         .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
         .with_record(RecordMode::Aggregate)
         .with_backend(QueueBackend::Calendar);

@@ -8,7 +8,7 @@
 //!
 //! 1. **exhaustive**: probe candidates level by level in lattice
 //!    order with no bound, re-calibrating service models inside every
-//!    probe (what `run_cluster_mix` does when called cold);
+//!    probe (a fresh `CalibrationCache` per probe);
 //! 2. **exhaustive+cache**: the same scan drawing service models from
 //!    one shared [`CalibrationCache`];
 //! 3. **planner (serial)**: [`helm_core::planner::plan`] at one
@@ -37,8 +37,8 @@ use std::time::Instant;
 use bench::section;
 use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster_mix, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec,
-    DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
+    run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec, DeadlineSpec,
+    PoissonArrivals, SchedulerKind, StepGranularity,
 };
 use helm_core::planner::{plan, PlanReport, PlanSpace, PlanTarget, SearchBudget, TrafficSpec};
 use helm_core::policy::Policy;
@@ -131,16 +131,15 @@ fn naive_scan(
             .filter(|(_, &c)| c > 0)
             .map(|(s, &c)| (s, c))
             .collect();
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(scheduler)
             .with_admission(admission)
             .with_deadlines(traffic.deadlines)
             .with_record(RecordMode::Aggregate);
         let mut arrivals = PoissonArrivals::new(traffic.lambda, traffic.seed);
-        let report = match cache {
-            Some(memo) => run_cluster_mix_cached(&groups, workload, &mut arrivals, n, spec, memo)?,
-            None => run_cluster_mix(&groups, workload, &mut arrivals, n, spec)?,
-        };
+        let mut cold = CalibrationCache::new();
+        let memo = cache.as_deref_mut().unwrap_or(&mut cold);
+        let report = run_cluster_mix_cached(&groups, workload, &mut arrivals, n, spec, memo)?;
         Ok(report.slo_attainment())
     };
     for total in 1..=space.max_replicas {

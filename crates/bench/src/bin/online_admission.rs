@@ -22,8 +22,8 @@
 
 use bench::{print_table, section};
 use helm_core::online::{
-    run_cluster_mix, AdmissionPolicy, ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals,
-    SchedulerKind,
+    run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterReport, ClusterSpec,
+    DeadlineSpec, PoissonArrivals, SchedulerKind,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
@@ -57,11 +57,18 @@ fn run_cell(
     slo: SimDuration,
     admission: AdmissionPolicy,
 ) -> Result<ClusterReport, Box<dyn std::error::Error>> {
-    let spec = ClusterSpec::new(1)
+    let spec = ClusterSpec::default()
         .with_scheduler(SchedulerKind::DeadlineAware)
         .with_admission(admission)
         .with_deadlines(DeadlineSpec::Fixed(slo));
-    let report = run_cluster_mix(groups, ws, &mut PoissonArrivals::new(lambda, 42), n, spec)?;
+    let report = run_cluster_mix_cached(
+        groups,
+        ws,
+        &mut PoissonArrivals::new(lambda, 42),
+        n,
+        spec,
+        &mut CalibrationCache::new(),
+    )?;
     let audit = report
         .audit
         .as_ref()

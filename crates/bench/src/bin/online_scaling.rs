@@ -10,7 +10,9 @@
 //! single-pipeline service times.
 
 use bench::{print_table, section};
-use helm_core::online::{run_cluster, ClusterSpec, PoissonArrivals, SchedulerKind};
+use helm_core::online::{
+    run_cluster_mix_cached, CalibrationCache, ClusterSpec, PoissonArrivals, SchedulerKind,
+};
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -50,10 +52,16 @@ fn main() -> Result<(), helm_core::HelmError> {
         for lambda in [0.03f64, 0.10, 0.25] {
             let mut values = Vec::new();
             for pipelines in [1usize, 2, 4] {
-                let spec =
-                    ClusterSpec::new(pipelines).with_scheduler(SchedulerKind::JoinShortestQueue);
+                let spec = ClusterSpec::default().with_scheduler(SchedulerKind::JoinShortestQueue);
                 let mut arrivals = PoissonArrivals::new(lambda, seed);
-                let r = run_cluster(&s, &ws, &mut arrivals, n, spec)?;
+                let r = run_cluster_mix_cached(
+                    &[(&s, pipelines)],
+                    &ws,
+                    &mut arrivals,
+                    n,
+                    spec,
+                    &mut CalibrationCache::new(),
+                )?;
                 values.push(r.e2e_percentile_ms(95.0) / 1000.0);
                 values.push(r.tokens_per_s);
             }
@@ -79,9 +87,16 @@ fn main() -> Result<(), helm_core::HelmError> {
     for lambda in [0.03f64, 0.10, 0.25] {
         let mut values = Vec::new();
         for continuous in [false, true] {
-            let spec = ClusterSpec::new(1).with_continuous(continuous);
+            let spec = ClusterSpec::default().with_continuous(continuous);
             let mut arrivals = PoissonArrivals::new(lambda, seed);
-            let r = run_cluster(&s, &ws, &mut arrivals, n, spec)?;
+            let r = run_cluster_mix_cached(
+                &[(&s, 1)],
+                &ws,
+                &mut arrivals,
+                n,
+                spec,
+                &mut CalibrationCache::new(),
+            )?;
             values.push(r.mean_queue_delay_ms() / 1000.0);
             values.push(r.e2e_percentile_ms(95.0) / 1000.0);
         }

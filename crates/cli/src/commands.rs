@@ -4,9 +4,11 @@ use crate::args::{ArgError, Args};
 use crate::select;
 use helm_core::autoplace::{Objective, SearchBudget};
 use helm_core::energy::assess;
+use helm_core::online::{ClusterReport, ClusterSpec};
 use helm_core::policy::Policy;
 use helm_core::server::Server;
 use helm_core::system::SystemConfig;
+use helm_core::trace::Trace;
 use simcore::units::ByteSize;
 use workload::WorkloadSpec;
 
@@ -52,7 +54,7 @@ fn wants_json(args: &Args) -> Result<bool, ArgError> {
 
 /// Writes a collected trace as chrome-trace JSON; in text mode also
 /// says where it went.
-fn write_trace(path: &str, trace: &helm_core::trace::Trace, json: bool) -> Result<(), ArgError> {
+fn write_trace(path: &str, trace: &Trace, json: bool) -> Result<(), ArgError> {
     std::fs::write(path, trace.to_chrome_json())
         .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
     if !json {
@@ -63,6 +65,21 @@ fn write_trace(path: &str, trace: &helm_core::trace::Trace, json: bool) -> Resul
         );
     }
     Ok(())
+}
+
+/// Reads a size flag that must be at least 1: the policy and workload
+/// constructors it feeds assert on zero, so zero is refused here with
+/// an error that names the flag.
+fn get_size<T>(args: &Args, key: &str, default: T) -> Result<T, ArgError>
+where
+    T: std::str::FromStr + Copy + PartialEq + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let value = args.get_num(key, default)?;
+    if value == T::from(0) {
+        return Err(ArgError(format!("--{key} must be at least 1")));
+    }
+    Ok(value)
 }
 
 fn session(args: &Args) -> Result<Session, ArgError> {
@@ -78,11 +95,11 @@ fn session(args: &Args) -> Result<Session, ArgError> {
         .with_placement(placement)
         .with_compression(args.get_bool("compress")?)
         .with_kv_offload(args.get_bool("kv-offload")?)
-        .with_batch_size(args.get_num("batch", 1u32)?)
-        .with_gpu_batches(args.get_num("gpu-batches", 1u32)?);
+        .with_batch_size(get_size(args, "batch", 1u32)?)
+        .with_gpu_batches(get_size(args, "gpu-batches", 1u32)?);
     let workload = WorkloadSpec::new(
-        args.get_num("prompt", 128usize)?,
-        args.get_num("gen", 21usize)?,
+        get_size(args, "prompt", 128usize)?,
+        get_size(args, "gen", 21usize)?,
         1,
     );
     let server = Server::new(SystemConfig::paper_platform(memory), model, policy)
@@ -210,139 +227,164 @@ fn parse_mix(spec: &str) -> Result<Vec<MixGroup>, ArgError> {
     Ok(groups)
 }
 
+/// The cluster `serve --pipelines N` or `--mix a:4,b:44` asks for,
+/// with its traffic. `--pipelines N` is the one-group mix of the
+/// session's own server, so both flags build the same group list.
+struct OnlineCluster {
+    /// The session server: names the model and memory in the output.
+    server: Server,
+    workload: WorkloadSpec,
+    /// Each replica group's server and its (placement, batch, count).
+    groups: Vec<(Server, MixGroup)>,
+    spec: ClusterSpec,
+    lambda: f64,
+    requests: usize,
+    seed: u64,
+}
+
+impl OnlineCluster {
+    fn from_args(args: &Args) -> Result<OnlineCluster, ArgError> {
+        use helm_core::online::{AdmissionPolicy, DeadlineSpec, SchedulerKind, StepGranularity};
+        use simcore::time::SimDuration;
+
+        let Session { server, workload } = session(args)?;
+        let mix = args.get("mix").map(parse_mix).transpose()?;
+        if mix.is_some() && args.get("pipelines").is_some() {
+            return Err(ArgError(
+                "--mix and --pipelines are mutually exclusive (the mix determines the cluster size)"
+                    .to_owned(),
+            ));
+        }
+        let pipelines = args.get_num("pipelines", 1usize)?;
+        if pipelines == 0 {
+            return Err(ArgError("--pipelines must be at least 1".to_owned()));
+        }
+        let scheduler: SchedulerKind = args.get_or("scheduler", "rr").parse().map_err(ArgError)?;
+        let granularity: StepGranularity = args
+            .get_or("granularity", StepGranularity::default().as_str())
+            .parse()
+            .map_err(ArgError)?;
+        let admission: AdmissionPolicy = args
+            .get_or("admission", "accept")
+            .parse()
+            .map_err(ArgError)?;
+        let deadlines = match args.get("slo-ms") {
+            Some(_) => {
+                let slo_ms = args.get_num("slo-ms", 0.0f64)?;
+                if !(slo_ms.is_finite() && slo_ms > 0.0) {
+                    return Err(ArgError(format!(
+                        "--slo-ms must be a positive deadline, got {slo_ms}"
+                    )));
+                }
+                DeadlineSpec::Fixed(SimDuration::from_millis(slo_ms))
+            }
+            None => DeadlineSpec::None,
+        };
+        let spec = ClusterSpec::default()
+            .with_scheduler(scheduler)
+            .with_continuous(args.get_bool("continuous")?)
+            .with_granularity(granularity)
+            .with_admission(admission)
+            .with_deadlines(deadlines);
+        let lambda = args.get_num("lambda", 0.05f64)?;
+        if !(lambda.is_finite() && lambda > 0.0) {
+            return Err(ArgError(format!(
+                "--lambda must be a positive arrival rate, got {lambda}"
+            )));
+        }
+        let requests = args.get_num("requests", 60usize)?;
+        let seed = args.get_num("seed", 42u64)?;
+        let groups = match mix {
+            Some(groups) => groups
+                .into_iter()
+                .map(|g| {
+                    let replica = server
+                        .reconfigured(g.placement, g.batch)
+                        .map_err(|e| ArgError(e.to_string()))?;
+                    Ok((replica, g))
+                })
+                .collect::<Result<Vec<_>, ArgError>>()?,
+            None => {
+                let group = MixGroup {
+                    placement: server.policy().placement(),
+                    batch: server.policy().effective_batch(),
+                    count: pipelines,
+                };
+                vec![(server.clone(), group)]
+            }
+        };
+        Ok(OnlineCluster {
+            server,
+            workload,
+            groups,
+            spec,
+            lambda,
+            requests,
+            seed,
+        })
+    }
+
+    /// Serves the traffic through the cluster; with `traced`, also
+    /// returns every request's span tree. The report is the same
+    /// either way.
+    fn run(&self, traced: bool) -> Result<(ClusterReport, Option<Trace>), ArgError> {
+        use helm_core::online::{
+            run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, PoissonArrivals,
+        };
+        let refs: Vec<(&Server, usize)> = self.groups.iter().map(|(s, g)| (s, g.count)).collect();
+        let mut arrivals = PoissonArrivals::new(self.lambda, self.seed);
+        let mut cache = CalibrationCache::new();
+        let (w, n, spec) = (&self.workload, self.requests, self.spec);
+        let run = if traced {
+            run_cluster_mix_traced(&refs, w, &mut arrivals, n, spec, &mut cache)
+                .map(|(report, trace)| (report, Some(trace)))
+        } else {
+            run_cluster_mix_cached(&refs, w, &mut arrivals, n, spec, &mut cache)
+                .map(|report| (report, None))
+        };
+        run.map_err(|e| ArgError(e.to_string()))
+    }
+}
+
 /// `helmsim serve --pipelines N` / `--mix a:4,b:44`: online serving
 /// through a cluster of pipeline replicas — identical or mixed —
 /// under Poisson load, with optional deadlines and admission control.
 fn serve_online(args: &Args) -> Result<(), ArgError> {
-    use helm_core::online::{
-        run_cluster, run_cluster_mix, run_cluster_mix_traced, run_cluster_traced, AdmissionPolicy,
-        CalibrationCache, ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind,
-        StepGranularity,
-    };
-    use simcore::time::SimDuration;
+    use helm_core::online::DeadlineSpec;
 
     let json = wants_json(args)?;
-    let Session { server, workload } = session(args)?;
-    let mix = args.get("mix").map(parse_mix).transpose()?;
-    if mix.is_some() && args.get("pipelines").is_some() {
-        return Err(ArgError(
-            "--mix and --pipelines are mutually exclusive (the mix determines the cluster size)"
-                .to_owned(),
-        ));
-    }
-    let pipelines = args.get_num("pipelines", 1usize)?;
-    if pipelines == 0 {
-        return Err(ArgError("--pipelines must be at least 1".to_owned()));
-    }
-    let scheduler: SchedulerKind = args.get_or("scheduler", "rr").parse().map_err(ArgError)?;
-    let granularity: StepGranularity = args
-        .get_or("granularity", StepGranularity::default().as_str())
-        .parse()
-        .map_err(ArgError)?;
-    let admission: AdmissionPolicy = args
-        .get_or("admission", "accept")
-        .parse()
-        .map_err(ArgError)?;
-    let deadlines = match args.get("slo-ms") {
-        Some(_) => {
-            let slo_ms = args.get_num("slo-ms", 0.0f64)?;
-            if !(slo_ms.is_finite() && slo_ms > 0.0) {
-                return Err(ArgError(format!(
-                    "--slo-ms must be a positive deadline, got {slo_ms}"
-                )));
-            }
-            DeadlineSpec::Fixed(SimDuration::from_millis(slo_ms))
-        }
-        None => DeadlineSpec::None,
-    };
-    let spec = ClusterSpec::new(pipelines)
-        .with_scheduler(scheduler)
-        .with_continuous(args.get_bool("continuous")?)
-        .with_granularity(granularity)
-        .with_admission(admission)
-        .with_deadlines(deadlines);
-    let lambda = args.get_num("lambda", 0.05f64)?;
-    if !(lambda.is_finite() && lambda > 0.0) {
-        return Err(ArgError(format!(
-            "--lambda must be a positive arrival rate, got {lambda}"
-        )));
-    }
-    let requests = args.get_num("requests", 60usize)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let mut arrivals = PoissonArrivals::new(lambda, seed);
-
+    let cluster = OnlineCluster::from_args(args)?;
     let trace_out = args.get("trace-out");
-    let (report, cluster_size) = match &mix {
-        Some(groups) => {
-            let servers = groups
-                .iter()
-                .map(|g| {
-                    server
-                        .reconfigured(g.placement, g.batch)
-                        .map_err(|e| ArgError(e.to_string()))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let refs: Vec<(&Server, usize)> = servers
-                .iter()
-                .zip(groups.iter())
-                .map(|(s, g)| (s, g.count))
-                .collect();
-            // As offline: the traced report is byte-identical, so
-            // `--trace-out` never perturbs what gets printed.
-            let report = match trace_out {
-                Some(path) => {
-                    let (report, trace) = run_cluster_mix_traced(
-                        &refs,
-                        &workload,
-                        &mut arrivals,
-                        requests,
-                        spec,
-                        &mut CalibrationCache::new(),
-                    )
-                    .map_err(|e| ArgError(e.to_string()))?;
-                    write_trace(path, &trace, json)?;
-                    report
-                }
-                None => run_cluster_mix(&refs, &workload, &mut arrivals, requests, spec)
-                    .map_err(|e| ArgError(e.to_string()))?,
-            };
-            (report, groups.iter().map(|g| g.count).sum::<usize>())
-        }
-        None => {
-            let report = match trace_out {
-                Some(path) => {
-                    let (report, trace) =
-                        run_cluster_traced(&server, &workload, &mut arrivals, requests, spec)
-                            .map_err(|e| ArgError(e.to_string()))?;
-                    write_trace(path, &trace, json)?;
-                    report
-                }
-                None => run_cluster(&server, &workload, &mut arrivals, requests, spec)
-                    .map_err(|e| ArgError(e.to_string()))?,
-            };
-            (report, pipelines)
-        }
-    };
+    // As offline: the traced report is byte-identical, so
+    // `--trace-out` never perturbs what gets printed.
+    let (report, trace) = cluster.run(trace_out.is_some())?;
+    if let (Some(path), Some(trace)) = (trace_out, &trace) {
+        write_trace(path, trace, json)?;
+    }
+    let OnlineCluster {
+        server,
+        groups,
+        spec,
+        lambda,
+        requests,
+        seed,
+        ..
+    } = &cluster;
+    let (admission, deadlines) = (spec.admission, spec.deadlines);
+    let cluster_size: usize = groups.iter().map(|(_, g)| g.count).sum();
 
     if json {
-        let groups: Vec<String> = match &mix {
-            Some(groups) => groups
-                .iter()
-                .map(|g| {
-                    format!(
-                        "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{}}}",
-                        g.placement.as_str(),
-                        g.batch,
-                        g.count
-                    )
-                })
-                .collect(),
-            None => vec![format!(
-                "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{pipelines}}}",
-                server.policy().placement().as_str(),
-                server.policy().effective_batch()
-            )],
-        };
+        let groups: Vec<String> = groups
+            .iter()
+            .map(|(_, g)| {
+                format!(
+                    "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{}}}",
+                    g.placement.as_str(),
+                    g.batch,
+                    g.count
+                )
+            })
+            .collect();
         let pipes: Vec<String> = report
             .per_pipeline
             .iter()
@@ -412,21 +454,11 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
         },
         spec.granularity,
     );
-    match &mix {
-        Some(groups) => {
-            for (g, group) in groups.iter().enumerate() {
-                println!(
-                    "  config {g}    : {} b={} x{}",
-                    group.placement, group.batch, group.count
-                );
-            }
-        }
-        None => println!(
-            "  config 0    : {} b={} x{}",
-            server.policy().placement(),
-            server.policy().effective_batch(),
-            pipelines
-        ),
+    for (g, (_, group)) in groups.iter().enumerate() {
+        println!(
+            "  config {g}    : {} b={} x{}",
+            group.placement, group.batch, group.count
+        );
     }
     println!("  load        : lambda {lambda} req/s, {requests} requests, seed {seed}");
     if let DeadlineSpec::Fixed(slo) = deadlines {
@@ -1064,6 +1096,61 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("granularity"));
+        // Zero sizes feed asserting constructors; they must come back
+        // as errors naming the flag, in serve and elsewhere.
+        for flag in ["batch", "gpu-batches", "prompt", "gen"] {
+            let dashed = format!("--{flag}");
+            let zero = parse(&[
+                "--model",
+                "opt-1.3b",
+                "--memory",
+                "dram",
+                "--pipelines",
+                "2",
+                &dashed,
+                "0",
+            ]);
+            assert!(serve(&zero).unwrap_err().to_string().contains(&dashed));
+            let zero = parse(&["--model", "opt-1.3b", "--memory", "dram", &dashed, "0"]);
+            assert!(serve(&zero).unwrap_err().to_string().contains(&dashed));
+            assert!(maxbatch(&zero).unwrap_err().to_string().contains(&dashed));
+        }
+    }
+
+    #[test]
+    fn pipelines_flag_is_the_one_group_mix() {
+        let base = [
+            "--model",
+            "opt-1.3b",
+            "--memory",
+            "dram",
+            "--gen",
+            "3",
+            "--scheduler",
+            "jsq",
+            "--lambda",
+            "0.5",
+            "--requests",
+            "12",
+            "--seed",
+            "7",
+        ];
+        let cluster = |extra: &[&str]| {
+            let mut v = base.to_vec();
+            v.extend(extra);
+            OnlineCluster::from_args(&parse(&v)).unwrap()
+        };
+        let pipelines = cluster(&["--placement", "all-cpu", "--batch", "4", "--pipelines", "3"]);
+        let mix = cluster(&["--mix", "all-cpu:4x3"]);
+        let report = |c: &OnlineCluster, traced: bool| {
+            let (report, trace) = c.run(traced).unwrap();
+            assert_eq!(trace.is_some(), traced);
+            format!("{report:?}")
+        };
+        let untraced = report(&pipelines, false);
+        assert_eq!(untraced, report(&mix, false));
+        assert_eq!(untraced, report(&pipelines, true));
+        assert_eq!(untraced, report(&mix, true));
     }
 
     #[test]

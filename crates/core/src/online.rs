@@ -11,12 +11,24 @@
 //! batch (All-CPU) sustains higher arrival rates, a balanced pipeline
 //! (HeLM) serves each batch faster.
 //!
+//! Two entry points exist. [`run_online`] is the hand-rolled
+//! single-pipeline reference loop the test suites compare against;
+//! every other run goes through the one cluster engine, reached by
+//! [`run_cluster_mix_cached`] (or [`run_cluster_mix_traced`], which
+//! also returns the span trees). A cluster is a list of
+//! `(server, count)` replica groups — each group carries its own
+//! [`Server`]-derived [`ServiceModel`] (e.g. a latency-tuned HeLM
+//! batch-4 replica next to a throughput-tuned All-CPU batch-44
+//! replica), calibrated once per distinct configuration through a
+//! caller-held [`CalibrationCache`]. A homogeneous `N`-replica
+//! cluster is the one-group list `[(&server, N)]`.
+//!
 //! Two serving granularities are modelled:
 //!
-//! * **Run-to-completion** ([`run_online`], and [`run_cluster`] with
-//!   [`ClusterSpec::continuous`] off): FlexGen-style static batches —
-//!   whoever is queued when the pipeline frees up is ground through
-//!   the full prompt+generate pass together.
+//! * **Run-to-completion** ([`run_online`], and the cluster engine
+//!   with [`ClusterSpec::continuous`] off): FlexGen-style static
+//!   batches — whoever is queued when the pipeline frees up is ground
+//!   through the full prompt+generate pass together.
 //! * **Continuous batching** ([`ClusterSpec::continuous`]): Orca-style
 //!   iteration-level scheduling — waiting requests are admitted at
 //!   decode-step boundaries, so a newcomer no longer waits out the
@@ -24,13 +36,8 @@
 //!   [`ServiceModel`], split into per-batch prefill and per-step
 //!   decode costs calibrated from two pipeline runs.
 //!
-//! [`run_cluster`] generalizes both to `N` identical pipelines fed by
-//! a pluggable dispatcher ([`SchedulerKind`]); [`run_cluster_mix`]
-//! generalizes further to a **heterogeneous** cluster — each replica
-//! group carries its own [`Server`]-derived [`ServiceModel`] (e.g. a
-//! latency-tuned HeLM batch-4 replica next to a throughput-tuned
-//! All-CPU batch-44 replica), calibrated once per distinct
-//! configuration. On top of dispatch, an [`AdmissionPolicy`] can
+//! Requests are spread over the replicas by a pluggable dispatcher
+//! ([`SchedulerKind`]). On top of dispatch, an [`AdmissionPolicy`] can
 //! reject requests at arrival and a [`DeadlineSpec`] attaches
 //! per-request completion deadlines, turning the cluster into the QoS
 //! engine the paper's conclusion asks for: [`ClusterReport`] then
@@ -47,7 +54,7 @@
 use crate::error::HelmError;
 use crate::exec::RecordMode;
 use crate::server::Server;
-use crate::trace::{Attribution, RequestTrace, Trace, TraceMode};
+use crate::trace::{Attribution, RequestTrace, Trace};
 use simaudit::{AuditReport, Auditor};
 use simcore::engine::{Context, Simulator, SpanId};
 use simcore::rng::SimRng;
@@ -157,7 +164,7 @@ impl ServiceModel {
         let max_batch = server.policy().effective_batch();
         // Calibration reads only aggregates (totals, TTFT, mean TBT),
         // so both runs skip per-step record materialization.
-        let full = server.run_aggregate(workload)?;
+        let full = server.run_mode(workload, RecordMode::Aggregate)?;
         let single = if max_batch > 1 {
             Server::new(
                 server.system().clone(),
@@ -168,7 +175,7 @@ impl ServiceModel {
                     .with_batch_size(1)
                     .with_gpu_batches(1),
             )?
-            .run_aggregate(workload)?
+            .run_mode(workload, RecordMode::Aggregate)?
         } else {
             full.clone()
         };
@@ -255,10 +262,10 @@ impl ServiceModel {
 /// cache the same two runs are re-paid on every probe — the dominant
 /// cost of the whole search. The cache keys on everything calibration
 /// reads (platform, model, policy, workload) and hands back the
-/// memoized model on a hit; [`run_cluster_mix_cached`] threads one
-/// cache through repeated cluster runs, and [`run_cluster_mix`] is
-/// the fresh-cache special case (which still dedupes identical groups
-/// *within* one call).
+/// memoized model on a hit. The caller holds the cache and threads it
+/// through [`run_cluster_mix_cached`] / [`run_cluster_mix_traced`];
+/// a fresh [`CalibrationCache::new`] per call still dedupes identical
+/// groups *within* that call.
 ///
 /// The key is the `Debug` rendering of the configuration tuple.
 /// Every field that feeds calibration derives `Debug` with
@@ -622,15 +629,13 @@ impl std::str::FromStr for StepGranularity {
     }
 }
 
-/// Shape of a serving cluster: how many pipelines, how requests are
-/// dispatched to them, at what granularity batches admit work, which
-/// arrivals are admitted at all, and what deadlines requests carry.
+/// Shape of a serving cluster: how requests are dispatched to its
+/// pipelines, at what granularity batches admit work, which arrivals
+/// are admitted at all, and what deadlines requests carry. The
+/// replicas themselves come from the `(server, count)` groups handed
+/// to [`run_cluster_mix_cached`] / [`run_cluster_mix_traced`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterSpec {
-    /// Number of independent pipeline replicas ([`run_cluster`] only;
-    /// [`run_cluster_mix`] derives the count from its replica
-    /// groups).
-    pub pipelines: usize,
     /// Dispatch policy for arriving requests.
     pub scheduler: SchedulerKind,
     /// Admit requests at decode-step boundaries (continuous batching)
@@ -653,24 +658,13 @@ pub struct ClusterSpec {
     /// queue event per batch/step completion. Reports are
     /// byte-identical either way; only speed differs.
     pub granularity: StepGranularity,
-    /// Span collection: [`TraceMode::Spans`] records a per-request
-    /// span tree (retrieved via the `*_traced` entry points). Reports
-    /// are byte-identical either way — attribution is always
-    /// computed; only the side-channel span trees are optional.
-    pub trace: TraceMode,
 }
 
-impl ClusterSpec {
-    /// `pipelines` replicas, round-robin dispatch, run-to-completion
-    /// batching, accept-all admission, no deadlines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pipelines` is zero.
-    pub fn new(pipelines: usize) -> Self {
-        assert!(pipelines >= 1, "a cluster needs at least one pipeline");
+impl Default for ClusterSpec {
+    /// Round-robin dispatch, run-to-completion batching, accept-all
+    /// admission, no deadlines, full recording.
+    fn default() -> Self {
         ClusterSpec {
-            pipelines,
             scheduler: SchedulerKind::RoundRobin,
             continuous: false,
             admission: AdmissionPolicy::AcceptAll,
@@ -678,8 +672,17 @@ impl ClusterSpec {
             record: RecordMode::Full,
             backend: QueueBackend::default(),
             granularity: StepGranularity::default(),
-            trace: TraceMode::default(),
         }
+    }
+}
+
+impl ClusterSpec {
+    /// The same spec as [`ClusterSpec::default`]. The argument is
+    /// ignored: the cluster size comes from the replica groups. Kept
+    /// only for callers written against the older signature; new code
+    /// uses [`ClusterSpec::default`].
+    pub fn new(_pipelines: usize) -> Self {
+        ClusterSpec::default()
     }
 
     /// Replaces the dispatch policy.
@@ -728,13 +731,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn with_granularity(mut self, granularity: StepGranularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Replaces the span-collection mode.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -896,7 +892,7 @@ pub struct ClusterReport {
     /// Aggregate critical-path attribution over all served requests:
     /// queue-bound vs compute-bound vs transfer-bound ticks, exact
     /// (`sum(buckets) == total` as a `u64` equality). Identical
-    /// across granularities, backends, and [`TraceMode`]s.
+    /// across granularities, backends, and traced or untraced runs.
     pub attribution: Attribution,
     /// Conservation audit, when auditing is enabled (debug builds or
     /// [`simaudit::force_enable`]).
@@ -1042,39 +1038,6 @@ pub fn run_online(
     })
 }
 
-/// Event-driven variant of [`run_online`]: a thin wrapper over
-/// [`run_cluster`] with a single pipeline, round-robin dispatch, and
-/// run-to-completion batching, which reproduces the hand-rolled loop
-/// bit for bit (the test suite cross-validates the two).
-///
-/// # Errors
-///
-/// Propagates batch validation from the underlying [`Server`].
-pub fn run_online_des(
-    server: &Server,
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-) -> Result<OnlineReport, HelmError> {
-    let r = run_cluster(
-        server,
-        workload,
-        arrivals,
-        num_requests,
-        ClusterSpec::new(1),
-    )?;
-    Ok(OnlineReport {
-        served: r.served,
-        makespan: r.makespan,
-        queue_delay: r.queue_delay,
-        e2e_latency: r.e2e_latency,
-        batch_sizes: r.batch_sizes,
-        utilization: r.utilization,
-        tokens_per_s: r.tokens_per_s,
-        audit: r.audit,
-    })
-}
-
 /// Busy fraction of `makespan`, reported raw. The seed code clamped
 /// this with `.min(1.0)`, which silently masked over-accounted busy
 /// time; a ratio above 1 now surfaces as a
@@ -1185,9 +1148,9 @@ struct ClusterSt {
     slo_violations: u64,
     met: u64,
     /// Aggregate attribution over completed requests — always
-    /// accumulated, whatever the [`TraceMode`].
+    /// accumulated, traced or not.
     attribution: Attribution,
-    /// Span collection buffer ([`TraceMode::Spans`] only).
+    /// Span collection buffer (only when the caller passed a sink).
     trace: Option<Trace>,
     audit: Auditor,
     /// The live arrival process: the chain of arrival events draws
@@ -1706,82 +1669,13 @@ fn drain_boundaries(st: &mut ClusterSt, limit: Option<(SimTime, u64)>) {
     }
 }
 
-/// Serves `num_requests` Poisson arrivals through a cluster of
-/// `spec.pipelines` independent replicas of `server`'s pipeline,
-/// dispatched by `spec.scheduler` and batched at the granularity
-/// `spec.continuous` selects.
-///
-/// With one pipeline, round-robin dispatch, continuous batching off,
-/// accept-all admission, and no deadlines this reproduces
-/// [`run_online`]'s statistics bit for bit; the extra pipelines,
-/// alternative dispatchers, admission policies, deadlines, and
-/// step-granularity admission are strict generalizations on the same
-/// [`ServiceModel`].
-///
-/// Request conservation and per-pipeline busy time are tracked with a
-/// [`simaudit::Auditor`]; the resulting report (when auditing is
-/// active) is attached to the returned [`ClusterReport`].
-///
-/// # Errors
-///
-/// Propagates batch validation from the underlying [`Server`].
-pub fn run_cluster(
-    server: &Server,
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-    spec: ClusterSpec,
-) -> Result<ClusterReport, HelmError> {
-    let model = ServiceModel::calibrate(server, workload)?;
-    let n = spec.pipelines.max(1);
-    let pipes = (0..n).map(|_| Pipe::new(0)).collect();
-    run_cluster_engine(
-        vec![model],
-        pipes,
-        workload,
-        arrivals,
-        num_requests,
-        spec,
-        None,
-    )
-}
-
-/// [`run_cluster`] with span collection forced on: returns the report
-/// together with every served request's span tree. The report is
-/// byte-identical to the untraced run.
-///
-/// # Errors
-///
-/// Propagates batch validation from the underlying [`Server`].
-pub fn run_cluster_traced(
-    server: &Server,
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-    spec: ClusterSpec,
-) -> Result<(ClusterReport, Trace), HelmError> {
-    let model = ServiceModel::calibrate(server, workload)?;
-    let n = spec.pipelines.max(1);
-    let pipes = (0..n).map(|_| Pipe::new(0)).collect();
-    let mut trace = Trace::default();
-    let report = run_cluster_engine(
-        vec![model],
-        pipes,
-        workload,
-        arrivals,
-        num_requests,
-        spec.with_trace(TraceMode::Spans),
-        Some(&mut trace),
-    )?;
-    Ok((report, trace))
-}
-
-/// Serves `num_requests` Poisson arrivals through a **heterogeneous**
-/// cluster: each `(server, count)` group contributes `count` replicas
-/// of that server's pipeline, with the [`ServiceModel`] calibrated
-/// once per group (the caller expresses "distinct configuration" by
-/// the grouping). `spec.pipelines` is ignored; the cluster size is
-/// the sum of the group counts.
+/// Serves `num_requests` Poisson arrivals through a cluster made of
+/// `groups`: each `(server, count)` group contributes `count`
+/// replicas of that server's pipeline, priced by one
+/// [`ServiceModel`] per group taken from `cache` (calibrated on a
+/// miss). A homogeneous cluster is the one-group list
+/// `[(&server, n)]`. Requests are dispatched by `spec.scheduler` and
+/// batched at the granularity `spec.continuous` selects.
 ///
 /// The point of mixing: a latency-tuned small-batch replica and a
 /// throughput-tuned large-batch replica behind one
@@ -1790,74 +1684,19 @@ pub fn run_cluster_traced(
 /// traffic better than either homogeneous cluster — the dispatcher
 /// prices each replica with its own model and routes accordingly.
 ///
-/// # Errors
+/// With one replica, round-robin dispatch, continuous batching off,
+/// accept-all admission, and no deadlines this reproduces
+/// [`run_online`]'s statistics bit for bit; everything else is a
+/// strict generalization on the same [`ServiceModel`].
 ///
-/// Propagates batch validation from the underlying [`Server`] runs;
-/// returns [`HelmError::InvalidConfig`] when the groups contribute no
-/// pipeline at all.
-pub fn run_cluster_mix(
-    groups: &[(&Server, usize)],
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-    spec: ClusterSpec,
-) -> Result<ClusterReport, HelmError> {
-    run_cluster_mix_cached(
-        groups,
-        workload,
-        arrivals,
-        num_requests,
-        spec,
-        &mut CalibrationCache::new(),
-    )
-}
-
-/// [`run_cluster_mix`] with span collection forced on: returns the
-/// report together with every served request's span tree. The report
-/// is byte-identical to the untraced run.
+/// The cache lets repeated runs over mixes drawn from the same
+/// replica configurations (a capacity-planning search, a λ sweep) pay
+/// the two calibration pipeline runs once per *distinct*
+/// configuration. Reports do not depend on whether the cache was warm.
 ///
-/// # Errors
-///
-/// Same contract as [`run_cluster_mix`].
-pub fn run_cluster_mix_traced(
-    groups: &[(&Server, usize)],
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-    spec: ClusterSpec,
-    cache: &mut CalibrationCache,
-) -> Result<(ClusterReport, Trace), HelmError> {
-    let mut models = Vec::with_capacity(groups.len());
-    let mut pipes: Vec<Pipe> = Vec::new();
-    for (g, (server, count)) in groups.iter().enumerate() {
-        models.push(cache.get_or_calibrate(server, workload)?);
-        pipes.extend((0..*count).map(|_| Pipe::new(g)));
-    }
-    if pipes.is_empty() {
-        return Err(HelmError::InvalidConfig(
-            "a cluster mix needs at least one pipeline",
-        ));
-    }
-    let mut trace = Trace::default();
-    let report = run_cluster_engine(
-        models,
-        pipes,
-        workload,
-        arrivals,
-        num_requests,
-        spec.with_trace(TraceMode::Spans),
-        Some(&mut trace),
-    )?;
-    Ok((report, trace))
-}
-
-/// [`run_cluster_mix`] with the calibration memo held by the caller:
-/// repeated runs over mixes drawn from the same replica
-/// configurations (a capacity-planning search, a λ sweep) pay the two
-/// calibration pipeline runs once per *distinct* configuration
-/// instead of once per group per call. A warm cache makes the
-/// per-call calibration cost zero; the simulation itself is
-/// unchanged, so reports are bit-identical to the uncached path.
+/// Request conservation and per-pipeline busy time are tracked with a
+/// [`simaudit::Auditor`]; the resulting report (when auditing is
+/// active) is attached to the returned [`ClusterReport`].
 ///
 /// # Errors
 ///
@@ -1872,6 +1711,45 @@ pub fn run_cluster_mix_cached(
     spec: ClusterSpec,
     cache: &mut CalibrationCache,
 ) -> Result<ClusterReport, HelmError> {
+    let (models, pipes) = replica_groups(groups, workload, cache)?;
+    run_cluster_engine(models, pipes, workload, arrivals, num_requests, spec, None)
+}
+
+/// [`run_cluster_mix_cached`] with span collection on: returns the
+/// report together with every served request's span tree. The report
+/// is byte-identical to the untraced run.
+///
+/// # Errors
+///
+/// Same contract as [`run_cluster_mix_cached`].
+pub fn run_cluster_mix_traced(
+    groups: &[(&Server, usize)],
+    workload: &WorkloadSpec,
+    arrivals: &mut PoissonArrivals,
+    num_requests: usize,
+    spec: ClusterSpec,
+    cache: &mut CalibrationCache,
+) -> Result<(ClusterReport, Trace), HelmError> {
+    let (models, pipes) = replica_groups(groups, workload, cache)?;
+    let mut trace = Trace::default();
+    let report = run_cluster_engine(
+        models,
+        pipes,
+        workload,
+        arrivals,
+        num_requests,
+        spec,
+        Some(&mut trace),
+    )?;
+    Ok((report, trace))
+}
+
+/// One calibrated model per group and `count` idle pipes bound to it.
+fn replica_groups(
+    groups: &[(&Server, usize)],
+    workload: &WorkloadSpec,
+    cache: &mut CalibrationCache,
+) -> Result<(Vec<ServiceModel>, Vec<Pipe>), HelmError> {
     let mut models = Vec::with_capacity(groups.len());
     let mut pipes: Vec<Pipe> = Vec::new();
     for (g, (server, count)) in groups.iter().enumerate() {
@@ -1883,7 +1761,7 @@ pub fn run_cluster_mix_cached(
             "a cluster mix needs at least one pipeline",
         ));
     }
-    run_cluster_engine(models, pipes, workload, arrivals, num_requests, spec, None)
+    Ok((models, pipes))
 }
 
 /// One arrival landing in the cluster (the registered arrival-span
@@ -1958,7 +1836,8 @@ fn schedule_next_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, i: us
 
 /// The shared cluster simulation: `pipes` (each bound to one of
 /// `models`) serving Poisson arrivals under `spec`'s dispatch,
-/// admission, deadline, and recording policies.
+/// admission, deadline, and recording policies. Span trees are built
+/// only when `trace_out` is given.
 fn run_cluster_engine(
     models: Vec<ServiceModel>,
     pipes: Vec<Pipe>,
@@ -1994,7 +1873,7 @@ fn run_cluster_engine(
             slo_violations: 0,
             met: 0,
             attribution: Attribution::default(),
-            trace: spec.trace.enabled().then(Trace::default),
+            trace: trace_out.is_some().then(Trace::default),
             audit: Auditor::capture(),
             arrivals: arrivals.clone(),
             deadliner: DeadlineAssigner::new(spec.deadlines),
@@ -2231,7 +2110,15 @@ mod tests {
         ] {
             let s = server(placement, batch);
             let a = run_online(&s, &ws, &mut PoissonArrivals::new(lambda, 11), 60).unwrap();
-            let b = run_online_des(&s, &ws, &mut PoissonArrivals::new(lambda, 11), 60).unwrap();
+            let b = run_cluster_mix_cached(
+                &[(&s, 1)],
+                &ws,
+                &mut PoissonArrivals::new(lambda, 11),
+                60,
+                ClusterSpec::default(),
+                &mut CalibrationCache::new(),
+            )
+            .unwrap();
             assert_eq!(a.batch_sizes, b.batch_sizes, "{placement} batches");
             assert!(
                 (a.makespan.as_secs() - b.makespan.as_secs()).abs() < 1e-9,
@@ -2300,12 +2187,13 @@ mod tests {
         ] {
             let s = server(placement, batch);
             let loop_r = run_online(&s, &ws, &mut PoissonArrivals::new(lambda, 17), 50).unwrap();
-            let cluster = run_cluster(
-                &s,
+            let cluster = run_cluster_mix_cached(
+                &[(&s, 1)],
                 &ws,
                 &mut PoissonArrivals::new(lambda, 17),
                 50,
-                ClusterSpec::new(1),
+                ClusterSpec::default(),
+                &mut CalibrationCache::new(),
             )
             .unwrap();
             assert_eq!(cluster.batch_sizes, loop_r.batch_sizes, "{placement}");
@@ -2342,12 +2230,13 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         let mk = |sched| {
-            run_cluster(
-                &s,
+            run_cluster_mix_cached(
+                &[(&s, 2)],
                 &ws,
                 &mut PoissonArrivals::new(0.08, 23),
                 80,
-                ClusterSpec::new(2).with_scheduler(sched),
+                ClusterSpec::default().with_scheduler(sched),
+                &mut CalibrationCache::new(),
             )
             .unwrap()
         };
@@ -2376,20 +2265,22 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         let lambda = 0.10;
-        let one = run_cluster(
-            &s,
+        let one = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(lambda, 5),
             80,
-            ClusterSpec::new(1),
+            ClusterSpec::default(),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
-        let four = run_cluster(
-            &s,
+        let four = run_cluster_mix_cached(
+            &[(&s, 4)],
             &ws,
             &mut PoissonArrivals::new(lambda, 5),
             80,
-            ClusterSpec::new(4).with_scheduler(SchedulerKind::JoinShortestQueue),
+            ClusterSpec::default().with_scheduler(SchedulerKind::JoinShortestQueue),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert!(one.utilization > 0.95, "N=1 util {}", one.utilization);
@@ -2417,14 +2308,23 @@ mod tests {
         // saturation both modes are backlog-dominated and the
         // admission granularity stops mattering).
         let lambda = 1.0 / 300.0;
-        let spec = ClusterSpec::new(1);
-        let rtc = run_cluster(&s, &ws, &mut PoissonArrivals::new(lambda, 31), 40, spec).unwrap();
-        let cont = run_cluster(
-            &s,
+        let spec = ClusterSpec::default();
+        let rtc = run_cluster_mix_cached(
+            &[(&s, 1)],
+            &ws,
+            &mut PoissonArrivals::new(lambda, 31),
+            40,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .unwrap();
+        let cont = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(lambda, 31),
             40,
             spec.with_continuous(true),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert_eq!(cont.served, 40);
@@ -2446,12 +2346,13 @@ mod tests {
         let s = server(PlacementKind::Helm, 4);
         let ws = WorkloadSpec::paper_default();
         simaudit::force_enable();
-        let r = run_cluster(
-            &s,
+        let r = run_cluster_mix_cached(
+            &[(&s, 3)],
             &ws,
             &mut PoissonArrivals::new(0.05, 41),
             30,
-            ClusterSpec::new(3).with_scheduler(SchedulerKind::JoinShortestQueue),
+            ClusterSpec::default().with_scheduler(SchedulerKind::JoinShortestQueue),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         let audit = r.audit.expect("auditing forced on");
@@ -2513,12 +2414,13 @@ mod tests {
         // control rejects anything.
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
-        let r = run_cluster(
-            &s,
+        let r = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(0.5, 47),
             60,
-            ClusterSpec::new(1).with_admission(AdmissionPolicy::QueueCap(4)),
+            ClusterSpec::default().with_admission(AdmissionPolicy::QueueCap(4)),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert!(r.rejected > 0, "saturating load must trip the queue cap");
@@ -2538,12 +2440,14 @@ mod tests {
         // λ nearly twice the batch-8 capacity (~0.058 req/s) with an
         // SLO between the unloaded e2e (~137 s) and the saturated
         // tail: early requests meet it, backlogged ones violate it.
-        let r = run_cluster(
-            &s,
+        let r = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(0.1, 51),
             40,
-            ClusterSpec::new(1).with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(300.0))),
+            ClusterSpec::default()
+                .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(300.0))),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert_eq!(r.served, 40);
@@ -2565,14 +2469,15 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         simaudit::force_enable();
-        let r = run_cluster(
-            &s,
+        let r = run_cluster_mix_cached(
+            &[(&s, 2)],
             &ws,
             &mut PoissonArrivals::new(0.5, 61),
             50,
-            ClusterSpec::new(2)
+            ClusterSpec::default()
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
                 .with_admission(AdmissionPolicy::QueueCap(3)),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert!(r.rejected > 0);
@@ -2593,14 +2498,15 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         simaudit::force_enable();
-        let r = run_cluster(
-            &s,
+        let r = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(0.2, 53),
             50,
-            ClusterSpec::new(1)
+            ClusterSpec::default()
                 .with_scheduler(SchedulerKind::DeadlineAware)
                 .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(300.0))),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert!(r.expired > 0, "saturating load must shed expiries");
@@ -2624,16 +2530,25 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         let slo = DeadlineSpec::Fixed(SimDuration::from_secs(400.0));
-        let base = ClusterSpec::new(1)
+        let base = ClusterSpec::default()
             .with_scheduler(SchedulerKind::LeastFinishTime)
             .with_deadlines(slo);
-        let accept = run_cluster(&s, &ws, &mut PoissonArrivals::new(0.2, 67), 50, base).unwrap();
-        let feasible = run_cluster(
-            &s,
+        let accept = run_cluster_mix_cached(
+            &[(&s, 1)],
+            &ws,
+            &mut PoissonArrivals::new(0.2, 67),
+            50,
+            base,
+            &mut CalibrationCache::new(),
+        )
+        .unwrap();
+        let feasible = run_cluster_mix_cached(
+            &[(&s, 1)],
             &ws,
             &mut PoissonArrivals::new(0.2, 67),
             50,
             base.with_admission(AdmissionPolicy::DeadlineFeasible),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert!(feasible.rejected > 0, "saturation must trigger rejections");
@@ -2954,7 +2869,15 @@ mod tests {
         let s = server(PlacementKind::Helm, 4);
         let ws = WorkloadSpec::paper_default();
         let mut a = PoissonArrivals::new(0.05, 77);
-        let _ = run_cluster(&s, &ws, &mut a, 10, ClusterSpec::new(1)).unwrap();
+        let _ = run_cluster_mix_cached(
+            &[(&s, 1)],
+            &ws,
+            &mut a,
+            10,
+            ClusterSpec::default(),
+            &mut CalibrationCache::new(),
+        )
+        .unwrap();
         let mut b = PoissonArrivals::new(0.05, 77);
         let _ = b.take(10);
         assert_eq!(a.take(5), b.take(5));
@@ -2968,14 +2891,23 @@ mod tests {
         // reservoir capacity) percentiles.
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
-        let spec = ClusterSpec::new(2).with_scheduler(SchedulerKind::JoinShortestQueue);
-        let full = run_cluster(&s, &ws, &mut PoissonArrivals::new(0.08, 81), 80, spec).unwrap();
-        let agg = run_cluster(
-            &s,
+        let spec = ClusterSpec::default().with_scheduler(SchedulerKind::JoinShortestQueue);
+        let full = run_cluster_mix_cached(
+            &[(&s, 2)],
+            &ws,
+            &mut PoissonArrivals::new(0.08, 81),
+            80,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .unwrap();
+        let agg = run_cluster_mix_cached(
+            &[(&s, 2)],
             &ws,
             &mut PoissonArrivals::new(0.08, 81),
             80,
             spec.with_record(RecordMode::Aggregate),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert_eq!(agg.served, full.served);
@@ -3010,17 +2942,26 @@ mod tests {
         let s = server(PlacementKind::AllCpu, 8);
         let ws = WorkloadSpec::paper_default();
         for record in [RecordMode::Full, RecordMode::Aggregate] {
-            let spec = ClusterSpec::new(2)
+            let spec = ClusterSpec::default()
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
                 .with_continuous(true)
                 .with_record(record);
-            let cal = run_cluster(&s, &ws, &mut PoissonArrivals::new(0.1, 71), 60, spec).unwrap();
-            let heap = run_cluster(
-                &s,
+            let cal = run_cluster_mix_cached(
+                &[(&s, 2)],
+                &ws,
+                &mut PoissonArrivals::new(0.1, 71),
+                60,
+                spec,
+                &mut CalibrationCache::new(),
+            )
+            .unwrap();
+            let heap = run_cluster_mix_cached(
+                &[(&s, 2)],
                 &ws,
                 &mut PoissonArrivals::new(0.1, 71),
                 60,
                 spec.with_backend(QueueBackend::Heap),
+                &mut CalibrationCache::new(),
             )
             .unwrap();
             assert_eq!(cal.events, heap.events, "{record:?}");
@@ -3040,26 +2981,28 @@ mod tests {
         let ws = WorkloadSpec::paper_default();
         for continuous in [false, true] {
             for record in [RecordMode::Full, RecordMode::Aggregate] {
-                let spec = ClusterSpec::new(1)
+                let spec = ClusterSpec::default()
                     .with_scheduler(SchedulerKind::DeadlineAware)
                     .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(400.0)))
                     .with_continuous(continuous)
                     .with_record(record);
                 let groups = [(&helm, 1usize), (&allcpu, 2usize)];
-                let step = run_cluster_mix(
+                let step = run_cluster_mix_cached(
                     &groups,
                     &ws,
                     &mut PoissonArrivals::new(0.1, 71),
                     60,
                     spec.with_granularity(StepGranularity::PerStep),
+                    &mut CalibrationCache::new(),
                 )
                 .unwrap();
-                let coal = run_cluster_mix(
+                let coal = run_cluster_mix_cached(
                     &groups,
                     &ws,
                     &mut PoissonArrivals::new(0.1, 71),
                     60,
                     spec.with_granularity(StepGranularity::Coalesced),
+                    &mut CalibrationCache::new(),
                 )
                 .unwrap();
                 assert_eq!(
@@ -3095,12 +3038,13 @@ mod tests {
         let allcpu = server(PlacementKind::AllCpu, 44);
         let ws = WorkloadSpec::paper_default();
         simaudit::force_enable();
-        let r = run_cluster_mix(
+        let r = run_cluster_mix_cached(
             &[(&helm, 1), (&allcpu, 2)],
             &ws,
             &mut PoissonArrivals::new(0.1, 59),
             60,
-            ClusterSpec::new(1).with_scheduler(SchedulerKind::LeastFinishTime),
+            ClusterSpec::default().with_scheduler(SchedulerKind::LeastFinishTime),
+            &mut CalibrationCache::new(),
         )
         .unwrap();
         assert_eq!(r.per_pipeline.len(), 3);
@@ -3151,14 +3095,14 @@ mod tests {
 
     #[test]
     fn calibration_cache_runs_once_per_distinct_config() {
-        // The regression this guards: `run_cluster_mix` used to
+        // The regression this guards: the cluster entry point used to
         // recalibrate every group on every call, so a search probing
         // the same templates hundreds of times paid two pipeline runs
         // per group per probe.
         let helm = server(PlacementKind::Helm, 4);
         let allcpu = server(PlacementKind::AllCpu, 44);
         let ws = WorkloadSpec::paper_default();
-        let spec = ClusterSpec::new(1).with_scheduler(SchedulerKind::LeastFinishTime);
+        let spec = ClusterSpec::default().with_scheduler(SchedulerKind::LeastFinishTime);
         let mut cache = CalibrationCache::new();
         // The HeLM config appears in two groups of the same mix, and
         // the whole mix is run three times: still two calibrations.
@@ -3181,8 +3125,15 @@ mod tests {
             &mut cache,
         )
         .unwrap();
-        let fresh =
-            run_cluster_mix(groups, &ws, &mut PoissonArrivals::new(0.05, 9), 20, spec).unwrap();
+        let fresh = run_cluster_mix_cached(
+            groups,
+            &ws,
+            &mut PoissonArrivals::new(0.05, 9),
+            20,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .unwrap();
         assert_eq!(format!("{cached:?}"), format!("{fresh:?}"));
         assert_eq!(cache.calibrations(), 2, "warm run must not recalibrate");
     }

@@ -160,7 +160,7 @@ impl<'a> PlanEngine<'a> {
             .filter(|(_, &count)| count > 0)
             .map(|(server, &count)| (server, count))
             .collect();
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(self.space.schedulers[ranked.scheduler])
             .with_admission(self.space.admissions[ranked.admission])
             .with_deadlines(self.traffic.deadlines)

@@ -356,7 +356,7 @@ pub fn replay_plan_traced(
         .zip(&report.groups)
         .map(|(s, (_, count))| (s, *count))
         .collect();
-    let spec = ClusterSpec::new(1)
+    let spec = ClusterSpec::default()
         .with_scheduler(report.chosen.scheduler)
         .with_admission(report.chosen.admission)
         .with_deadlines(traffic.deadlines)

@@ -178,7 +178,7 @@ impl Server {
     /// placement policy and batch size — the building block for
     /// heterogeneous cluster mixes, where e.g. a latency-tuned HeLM
     /// batch-4 replica serves beside a throughput-tuned All-CPU
-    /// batch-44 replica ([`crate::online::run_cluster_mix`]).
+    /// batch-44 replica ([`crate::online::run_cluster_mix_cached`]).
     ///
     /// # Errors
     ///
@@ -221,19 +221,6 @@ impl Server {
         self.run_mode(workload, RecordMode::Full)
     }
 
-    /// [`Server::run`] in [`RecordMode::Aggregate`]: the same
-    /// validated pipeline run with bit-identical aggregates (TTFT,
-    /// TBT, throughput, traffic totals) but no per-step records — the
-    /// allocation-free path online calibration and repeated
-    /// evaluations use.
-    ///
-    /// # Errors
-    ///
-    /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
-    pub fn run_aggregate(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        self.run_mode(workload, RecordMode::Aggregate)
-    }
-
     /// [`Server::run`] with span collection on: returns the report
     /// together with every request's span tree (queue wait, weight
     /// fill, per-token prefill/decode, per-step transfer/compute
@@ -243,43 +230,22 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_traced(&self, workload: &WorkloadSpec) -> Result<(RunReport, Trace), HelmError> {
-        let max = self.max_batch(workload);
-        if self.policy.effective_batch() > max {
-            return Err(HelmError::BatchTooLarge {
-                requested: self.policy.effective_batch(),
-                max_batch: max,
-            });
-        }
-        let placement = self.effective_placement(workload);
-        let inputs = PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        };
-        let table = LayerCostTable::build(&inputs)?;
-        run_pipeline_traced(&inputs, &table, RecordMode::Full)
+        self.checked(workload, |inputs| {
+            run_pipeline_traced(inputs, &LayerCostTable::build(inputs)?, RecordMode::Full)
+        })
     }
 
-    fn run_mode(&self, workload: &WorkloadSpec, mode: RecordMode) -> Result<RunReport, HelmError> {
-        let max = self.max_batch(workload);
-        if self.policy.effective_batch() > max {
-            return Err(HelmError::BatchTooLarge {
-                requested: self.policy.effective_batch(),
-                max_batch: max,
-            });
-        }
-        let placement = self.effective_placement(workload);
-        let inputs = PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        };
-        let table = LayerCostTable::build(&inputs)?;
-        run_pipeline_with(&inputs, &table, mode)
+    /// [`Server::run`] at any [`RecordMode`]. Online calibration uses
+    /// [`RecordMode::Aggregate`]: bit-identical aggregates (TTFT, TBT,
+    /// throughput, traffic totals) without per-step records.
+    pub(crate) fn run_mode(
+        &self,
+        workload: &WorkloadSpec,
+        mode: RecordMode,
+    ) -> Result<RunReport, HelmError> {
+        self.checked(workload, |inputs| {
+            run_pipeline_with(inputs, &LayerCostTable::build(inputs)?, mode)
+        })
     }
 
     /// Runs the serving pipeline on the discrete-event executor
@@ -292,6 +258,17 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_des(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
+        self.checked(workload, crate::exec_des::run_pipeline_des)
+    }
+
+    /// The prelude every checked run shares: reject a batch GPU
+    /// memory cannot hold, then hand `run` the pipeline inputs on the
+    /// effective (fallback-aware) placement.
+    fn checked<T>(
+        &self,
+        workload: &WorkloadSpec,
+        run: impl FnOnce(&PipelineInputs<'_>) -> Result<T, HelmError>,
+    ) -> Result<T, HelmError> {
         let max = self.max_batch(workload);
         if self.policy.effective_batch() > max {
             return Err(HelmError::BatchTooLarge {
@@ -300,7 +277,7 @@ impl Server {
             });
         }
         let placement = self.effective_placement(workload);
-        crate::exec_des::run_pipeline_des(&PipelineInputs {
+        run(&PipelineInputs {
             system: &self.system,
             model: &self.model,
             policy: &self.policy,

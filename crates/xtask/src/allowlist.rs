@@ -56,6 +56,11 @@ impl Allowlist {
             return Ok(Allowlist::default());
         }
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Allowlist::parse(&text, &path.display().to_string())
+    }
+
+    /// Parses allowlist text; `origin` names its source in errors.
+    pub fn parse(text: &str, origin: &str) -> Result<Self, String> {
         let mut entries = BTreeMap::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -66,8 +71,7 @@ impl Allowlist {
                 Some((f, j)) if !j.trim().is_empty() => (f, j.trim().to_owned()),
                 _ => {
                     return Err(format!(
-                        "{}:{}: allowlist entry without a justification comment",
-                        path.display(),
+                        "{origin}:{}: allowlist entry without a justification comment",
                         lineno + 1
                     ))
                 }
@@ -75,14 +79,13 @@ impl Allowlist {
             let parts: Vec<&str> = fields.split_whitespace().collect();
             let [rule, file, count] = parts[..] else {
                 return Err(format!(
-                    "{}:{}: expected `<rule> <file> <count>  # justification`",
-                    path.display(),
+                    "{origin}:{}: expected `<rule> <file> <count>  # justification`",
                     lineno + 1
                 ));
             };
             let count: usize = count
                 .parse()
-                .map_err(|_| format!("{}:{}: bad count '{count}'", path.display(), lineno + 1))?;
+                .map_err(|_| format!("{origin}:{}: bad count '{count}'", lineno + 1))?;
             entries.insert(
                 (rule.to_owned(), file.to_owned()),
                 Entry {
@@ -184,13 +187,7 @@ mod tests {
     use super::*;
 
     fn parse(text: &str) -> Result<Allowlist, String> {
-        let dir = std::env::temp_dir().join("helmsim-xtask-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("allow-{}.txt", text.len()));
-        std::fs::write(&path, text).expect("write");
-        let result = Allowlist::load(&path);
-        std::fs::remove_file(&path).ok();
-        result
+        Allowlist::parse(text, "allow.txt")
     }
 
     #[test]

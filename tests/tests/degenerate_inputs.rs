@@ -10,7 +10,7 @@
 
 use helm_core::error::HelmError;
 use helm_core::online::{
-    run_cluster, run_cluster_mix, ClusterSpec, PoissonArrivals, StepGranularity,
+    run_cluster_mix_cached, CalibrationCache, ClusterSpec, PoissonArrivals, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::planner::{plan, PlanSpace, PlanTarget, SearchBudget, TrafficSpec};
@@ -44,7 +44,14 @@ fn assert_invalid_config(result: Result<impl std::fmt::Debug, HelmError>, what: 
 fn empty_cluster_mix_is_a_typed_error() {
     let workload = WorkloadSpec::new(32, 3, 1);
     let mut arrivals = PoissonArrivals::new(1.0, 7);
-    let result = run_cluster_mix(&[], &workload, &mut arrivals, 10, ClusterSpec::new(1));
+    let result = run_cluster_mix_cached(
+        &[],
+        &workload,
+        &mut arrivals,
+        10,
+        ClusterSpec::default(),
+        &mut CalibrationCache::new(),
+    );
     assert_invalid_config(result, "empty mix");
 }
 
@@ -120,10 +127,17 @@ fn zero_request_serve_reports_honest_zeros() {
     let server = small_server();
     let workload = WorkloadSpec::new(32, 3, 1);
     for granularity in [StepGranularity::PerStep, StepGranularity::Coalesced] {
-        let spec = ClusterSpec::new(2).with_granularity(granularity);
+        let spec = ClusterSpec::default().with_granularity(granularity);
         let mut arrivals = PoissonArrivals::new(1.0, 7);
-        let report =
-            run_cluster(&server, &workload, &mut arrivals, 0, spec).expect("zero-request run");
+        let report = run_cluster_mix_cached(
+            &[(&server, 2)],
+            &workload,
+            &mut arrivals,
+            0,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("zero-request run");
         let rendered = format!("{report:?}");
         assert!(
             !rendered.contains("NaN"),

@@ -17,7 +17,7 @@
 use helm_core::exec::{PipelineInputs, RecordMode};
 use helm_core::exec_des::run_pipeline_des;
 use helm_core::online::{
-    run_cluster_mix, run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals,
+    run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals,
     SchedulerKind,
 };
 use helm_core::placement::{ModelPlacement, PlacementKind};
@@ -122,15 +122,22 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 2)];
     for record in [RecordMode::Full, RecordMode::Aggregate] {
         let run = |backend: QueueBackend| {
-            let spec = ClusterSpec::new(1)
+            let spec = ClusterSpec::default()
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
                 .with_record(record)
                 .with_backend(backend);
             // A fresh arrival process per run: identical draws, so any
             // report diff comes from the engine, not the workload.
             let mut arrivals = PoissonArrivals::new(2.0, 97);
-            let report = run_cluster_mix(groups, &workload, &mut arrivals, 100_000, spec)
-                .expect("cluster runs");
+            let report = run_cluster_mix_cached(
+                groups,
+                &workload,
+                &mut arrivals,
+                100_000,
+                spec,
+                &mut CalibrationCache::new(),
+            )
+            .expect("cluster runs");
             assert!(report.audit.is_some(), "audit ledgers absent in debug run");
             format!("{report:?}")
         };
@@ -148,10 +155,10 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
     }
 }
 
-/// Tracing is a side channel, never a semantics knob: enabling
-/// `TraceMode::Spans` must leave every report — offline `RunReport`
-/// and online `ClusterReport`, in both recording modes — bit-identical
-/// to the untraced run. Attribution is computed unconditionally, so
+/// Tracing is a side channel, never a semantics knob: a traced run
+/// (`Server::run_traced`, `run_cluster_mix_traced`) must leave every
+/// report — offline `RunReport` and online `ClusterReport`, in both
+/// recording modes — bit-identical to the untraced run. Attribution is computed unconditionally, so
 /// it appears (identically) in both renderings; only the span trees
 /// ride the separate channel.
 #[test]
@@ -190,12 +197,19 @@ fn enabling_tracing_leaves_reports_bit_identical() {
     // Online: same, across both recording modes.
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 1)];
     for record in [RecordMode::Full, RecordMode::Aggregate] {
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(SchedulerKind::JoinShortestQueue)
             .with_record(record);
         let mut arrivals = PoissonArrivals::new(1.0, 97);
-        let plain = run_cluster_mix(groups, &workload, &mut arrivals, 2_000, spec)
-            .expect("untraced cluster run");
+        let plain = run_cluster_mix_cached(
+            groups,
+            &workload,
+            &mut arrivals,
+            2_000,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("untraced cluster run");
         let mut arrivals = PoissonArrivals::new(1.0, 97);
         let (traced, trace) = run_cluster_mix_traced(
             groups,

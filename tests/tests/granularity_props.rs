@@ -9,8 +9,8 @@
 
 use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster_mix, run_cluster_mix_cached, run_cluster_mix_traced, AdmissionPolicy,
-    CalibrationCache, ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
+    run_cluster_mix_cached, run_cluster_mix_traced, AdmissionPolicy, CalibrationCache, ClusterSpec,
+    DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
@@ -124,7 +124,7 @@ proptest! {
         // the event engine alone.
         let mut cache = CalibrationCache::new();
         let mut run = |granularity| {
-            let spec = ClusterSpec::new(1)
+            let spec = ClusterSpec::default()
                 .with_scheduler(scheduler)
                 .with_admission(admission)
                 .with_deadlines(deadlines)
@@ -183,7 +183,7 @@ proptest! {
         ][scheduler_sel as usize];
         let mut cache = CalibrationCache::new();
         let mut run = |granularity| {
-            let spec = ClusterSpec::new(1)
+            let spec = ClusterSpec::default()
                 .with_scheduler(scheduler)
                 .with_deadlines(deadlines)
                 .with_continuous(continuous)
@@ -221,13 +221,20 @@ fn granularities_byte_identical_at_1e5_requests() {
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 2)];
     for record in [RecordMode::Full, RecordMode::Aggregate] {
         let run = |granularity| {
-            let spec = ClusterSpec::new(1)
+            let spec = ClusterSpec::default()
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
                 .with_record(record)
                 .with_granularity(granularity);
             let mut arrivals = PoissonArrivals::new(2.0, 97);
-            let report = run_cluster_mix(groups, &workload, &mut arrivals, 100_000, spec)
-                .expect("cluster runs");
+            let report = run_cluster_mix_cached(
+                groups,
+                &workload,
+                &mut arrivals,
+                100_000,
+                spec,
+                &mut CalibrationCache::new(),
+            )
+            .expect("cluster runs");
             format!("{report:?}")
         };
         assert_eq!(
@@ -249,14 +256,21 @@ fn granularities_byte_identical_with_continuous_decode_spans() {
     let allcpu = paper_server(PlacementKind::AllCpu, 44);
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 2)];
     let run = |granularity| {
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(SchedulerKind::JoinShortestQueue)
             .with_continuous(true)
             .with_record(RecordMode::Aggregate)
             .with_granularity(granularity);
         let mut arrivals = PoissonArrivals::new(2.0, 97);
-        let report =
-            run_cluster_mix(groups, &workload, &mut arrivals, 10_000, spec).expect("cluster runs");
+        let report = run_cluster_mix_cached(
+            groups,
+            &workload,
+            &mut arrivals,
+            10_000,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("cluster runs");
         format!("{report:?}")
     };
     assert_eq!(

@@ -5,7 +5,7 @@
 //! replicas, and the cancelled-transfer path of the byte auditor.
 
 use helm_core::online::{
-    run_cluster, run_cluster_mix, run_online, run_online_des, AdmissionPolicy, ClusterSpec,
+    run_cluster_mix_cached, run_online, AdmissionPolicy, CalibrationCache, ClusterSpec,
     DeadlineSpec, PoissonArrivals, SchedulerKind,
 };
 use helm_core::placement::PlacementKind;
@@ -46,7 +46,15 @@ fn loop_and_des_agree_with_arrivals_landing_mid_batch() {
     for (placement, batch) in [(PlacementKind::Baseline, 8u32), (PlacementKind::AllCpu, 44)] {
         let s = server(placement, batch);
         let a = run_online(&s, &ws, &mut PoissonArrivals::new(0.1, 77), 64).expect("loop");
-        let b = run_online_des(&s, &ws, &mut PoissonArrivals::new(0.1, 77), 64).expect("des");
+        let b = run_cluster_mix_cached(
+            &[(&s, 1)],
+            &ws,
+            &mut PoissonArrivals::new(0.1, 77),
+            64,
+            ClusterSpec::default(),
+            &mut CalibrationCache::new(),
+        )
+        .expect("des");
         // Mid-batch arrivals actually happened: some batch is > 1.
         assert!(
             a.batch_sizes.iter().any(|&x| x > 1),
@@ -80,20 +88,22 @@ fn four_pipelines_absorb_a_rate_that_saturates_one() {
     let s = server(PlacementKind::AllCpu, 8);
     let ws = WorkloadSpec::paper_default();
     let lambda = 0.10;
-    let one = run_cluster(
-        &s,
+    let one = run_cluster_mix_cached(
+        &[(&s, 1)],
         &ws,
         &mut PoissonArrivals::new(lambda, 5),
         100,
-        ClusterSpec::new(1),
+        ClusterSpec::default(),
+        &mut CalibrationCache::new(),
     )
     .expect("N=1");
-    let four = run_cluster(
-        &s,
+    let four = run_cluster_mix_cached(
+        &[(&s, 4)],
         &ws,
         &mut PoissonArrivals::new(lambda, 5),
         100,
-        ClusterSpec::new(4).with_scheduler(SchedulerKind::JoinShortestQueue),
+        ClusterSpec::default().with_scheduler(SchedulerKind::JoinShortestQueue),
+        &mut CalibrationCache::new(),
     )
     .expect("N=4");
     assert!(
@@ -226,7 +236,7 @@ proptest! {
     ) {
         simaudit::force_enable();
         let s = server(PlacementKind::Helm, 4);
-        let spec = ClusterSpec::new(pipelines)
+        let spec = ClusterSpec::default()
             .with_scheduler(if jsq {
                 SchedulerKind::JoinShortestQueue
             } else {
@@ -234,8 +244,15 @@ proptest! {
             })
             .with_continuous(continuous);
         let ws = WorkloadSpec::paper_default();
-        let r = run_cluster(&s, &ws, &mut PoissonArrivals::new(lambda, seed), n, spec)
-            .expect("cluster run");
+        let r = run_cluster_mix_cached(
+            &[(&s, pipelines)],
+            &ws,
+            &mut PoissonArrivals::new(lambda, seed),
+            n,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("cluster run");
         prop_assert_eq!(r.served, n as u64);
         prop_assert_eq!(r.queue_delay.count(), n as u64);
         prop_assert_eq!(r.e2e_latency.count(), n as u64);
@@ -285,14 +302,21 @@ proptest! {
         if allcpu_replicas > 0 {
             groups.push((&allcpu, allcpu_replicas));
         }
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(scheduler)
             .with_admission(admission)
             .with_continuous(continuous)
             .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(slo_s)));
         let ws = WorkloadSpec::paper_default();
-        let r = run_cluster_mix(&groups, &ws, &mut PoissonArrivals::new(lambda, seed), n, spec)
-            .expect("cluster run");
+        let r = run_cluster_mix_cached(
+            &groups,
+            &ws,
+            &mut PoissonArrivals::new(lambda, seed),
+            n,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("cluster run");
         prop_assert_eq!(r.served + r.rejected + r.expired, n as u64);
         prop_assert_eq!(r.queue_delay.count(), r.served);
         prop_assert_eq!(r.e2e_latency.count(), r.served);
@@ -337,14 +361,15 @@ proptest! {
             SchedulerKind::RoundRobin
         };
         let run = |slo: f64| {
-            run_cluster(
-                &s,
+            run_cluster_mix_cached(
+                &[(&s, 2)],
                 &ws,
                 &mut PoissonArrivals::new(lambda, seed),
                 n,
-                ClusterSpec::new(2)
+                ClusterSpec::default()
                     .with_scheduler(sched)
                     .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(slo))),
+                &mut CalibrationCache::new(),
             )
             .expect("cluster run")
         };
@@ -386,14 +411,21 @@ fn mix_beats_both_homogeneous_clusters_under_mixed_slo() {
         tight_fraction: 0.1,
         seed: 9,
     };
-    let spec = ClusterSpec::new(1)
+    let spec = ClusterSpec::default()
         .with_scheduler(SchedulerKind::DeadlineAware)
         .with_deadlines(deadlines);
     let lambda = 0.15;
     let n = 150;
     let run = |groups: &[(&Server, usize)]| {
-        run_cluster_mix(groups, &ws, &mut PoissonArrivals::new(lambda, 9), n, spec)
-            .expect("cluster run")
+        run_cluster_mix_cached(
+            groups,
+            &ws,
+            &mut PoissonArrivals::new(lambda, 9),
+            n,
+            spec,
+            &mut CalibrationCache::new(),
+        )
+        .expect("cluster run")
     };
     let mix = run(&[(&helm, 1), (&allcpu, 1)]);
     let homog_helm = run(&[(&helm, 2)]);

@@ -122,7 +122,7 @@ proptest! {
             .zip(counts)
             .filter(|(_, c)| *c > 0)
             .collect();
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(scheduler)
             .with_admission(admission)
             .with_deadlines(deadlines)

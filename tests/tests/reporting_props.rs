@@ -2,7 +2,9 @@
 //! online-serving statistics.
 
 use helm_core::energy::assess;
-use helm_core::online::{run_online, run_online_des, PoissonArrivals};
+use helm_core::online::{
+    run_cluster_mix_cached, run_online, CalibrationCache, ClusterSpec, PoissonArrivals,
+};
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -78,8 +80,15 @@ proptest! {
         let ws = WorkloadSpec::paper_default();
         let a = run_online(&server, &ws, &mut PoissonArrivals::new(lambda, seed), n)
             .expect("serves");
-        let b = run_online_des(&server, &ws, &mut PoissonArrivals::new(lambda, seed), n)
-            .expect("serves");
+        let b = run_cluster_mix_cached(
+            &[(&server, 1)],
+            &ws,
+            &mut PoissonArrivals::new(lambda, seed),
+            n,
+            ClusterSpec::default(),
+            &mut CalibrationCache::new(),
+        )
+        .expect("serves");
         prop_assert_eq!(a.served, n as u64);
         prop_assert_eq!(a.queue_delay.count(), n as u64);
         prop_assert_eq!(a.e2e_latency.count(), n as u64);

@@ -85,7 +85,7 @@ proptest! {
             1 => AdmissionPolicy::QueueCap(2),
             _ => AdmissionPolicy::DeadlineFeasible,
         };
-        let spec = ClusterSpec::new(1)
+        let spec = ClusterSpec::default()
             .with_scheduler(scheduler)
             .with_admission(admission)
             .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_millis(slo_ms)))
