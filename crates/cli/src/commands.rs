@@ -12,7 +12,8 @@ use helm_core::trace::Trace;
 use simcore::units::ByteSize;
 use workload::WorkloadSpec;
 
-const SERVE_FLAGS: &[&str] = &[
+/// Flags every session-building command accepts.
+pub(crate) const SERVE_FLAGS: &[&str] = &[
     "model",
     "memory",
     "placement",
@@ -36,6 +37,20 @@ const SERVE_FLAGS: &[&str] = &[
     "slo-ms",
     "format",
     "trace-out",
+];
+
+/// Flags `autoplace` accepts on top of [`SERVE_FLAGS`].
+pub(crate) const AUTOPLACE_FLAGS: &[&str] = &["objective", "max-evals"];
+
+/// Flags `plan` accepts on top of [`SERVE_FLAGS`].
+pub(crate) const PLAN_FLAGS: &[&str] = &[
+    "target",
+    "max-replicas",
+    "probe-requests",
+    "max-evals",
+    "slo-tight-ms",
+    "slo-loose-ms",
+    "tight-frac",
 ];
 
 struct Session {
@@ -533,9 +548,7 @@ pub fn maxbatch(args: &Args) -> Result<(), ArgError> {
 
 /// `helmsim autoplace`.
 pub fn autoplace(args: &Args) -> Result<(), ArgError> {
-    let mut allowed = SERVE_FLAGS.to_vec();
-    allowed.extend(["objective", "threads", "max-evals"]);
-    args.reject_unknown(&allowed)?;
+    args.reject_unknown(&[SERVE_FLAGS, AUTOPLACE_FLAGS].concat())?;
     let objective = match args.get_or("objective", "latency") {
         "latency" => Objective::Latency,
         "throughput" => Objective::Throughput,
@@ -546,8 +559,8 @@ pub fn autoplace(args: &Args) -> Result<(), ArgError> {
         }
     };
     let budget = SearchBudget {
-        threads: args.get_num("threads", 0usize)?,
         max_evals: args.get_num("max-evals", 0usize)?,
+        ..SearchBudget::default()
     };
     let Session { server, workload } = session(args)?;
     let result = server
@@ -583,24 +596,13 @@ pub fn autoplace(args: &Args) -> Result<(), ArgError> {
 
 /// `helmsim plan`: SLO-aware capacity planning — the minimum-resource
 /// cluster configuration meeting an attainment target under Poisson
-/// load, found by bound-pruned, calibration-cached, parallel search.
+/// load, found by bound-pruned, calibration-cached search.
 pub fn plan(args: &Args) -> Result<(), ArgError> {
     use helm_core::online::DeadlineSpec;
     use helm_core::planner::{self, PlanSpace, PlanTarget, TrafficSpec};
     use simcore::time::SimDuration;
 
-    let mut allowed = SERVE_FLAGS.to_vec();
-    allowed.extend([
-        "target",
-        "max-replicas",
-        "probe-requests",
-        "threads",
-        "max-evals",
-        "slo-tight-ms",
-        "slo-loose-ms",
-        "tight-frac",
-    ]);
-    args.reject_unknown(&allowed)?;
+    args.reject_unknown(&[SERVE_FLAGS, PLAN_FLAGS].concat())?;
     let json = wants_json(args)?;
     let Session { server, workload } = session(args)?;
 
@@ -674,8 +676,8 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
         .parse()
         .map_err(ArgError)?;
     let budget = SearchBudget {
-        threads: args.get_num("threads", 0usize)?,
         max_evals: args.get_num("max-evals", 0usize)?,
+        ..SearchBudget::default()
     };
     let report = planner::plan(
         &server,
@@ -1359,6 +1361,15 @@ mod tests {
     fn serve_rejects_unknown_flags() {
         let args = parse(&["--modle", "opt-30b"]);
         assert!(serve(&args).is_err());
+    }
+
+    #[test]
+    fn searches_refuse_the_threads_flag() {
+        let args = parse(&["--model", "opt-1.3b", "--memory", "dram", "--threads", "2"]);
+        for command in [autoplace, plan] {
+            let err = command(&args).unwrap_err().to_string();
+            assert!(err.contains("unknown flag --threads"), "{err}");
+        }
     }
 
     #[test]

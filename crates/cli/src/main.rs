@@ -50,17 +50,24 @@ COMMON FLAGS:
   --prompt <n>          input tokens (default 128)
   --gen <n>             output tokens (default 21)
   --csv <path>          also write the per-step timeline as CSV
+  --audit               print conservation-audit ledgers (on by
+                        default in debug builds)
   --trace-out <path>    serve/plan: export request span trees as
                         chrome-trace JSON (load in a trace viewer)
   --pipelines <n>       serve online through n pipeline replicas
-  --scheduler <s>       cluster dispatch: rr|jsq (default rr)
+  --mix <groups>        serve online through a mixed cluster, e.g.
+                        helm:4,all-cpu:44x2 (placement:batch[xN])
+  --scheduler <s>       cluster dispatch: rr|jsq|lft|edf (default rr)
+  --admission <a>       cluster admission: accept|cap:<n>|deadline
+                        (default accept)
   --continuous          admit requests at decode-step boundaries
+  --granularity <g>     cluster decode events: coalesced|per-step
+                        (default coalesced)
   --lambda <r>          Poisson arrival rate, req/s (default 0.05)
   --requests <n>        requests to serve online (default 60)
   --seed <n>            arrival-process seed (default 42)
   --format <f>          serve/plan output: text|json (default text)
   --objective <o>       autoplace: latency|throughput (default latency)
-  --threads <n>         autoplace/plan: search threads (default 0 = auto)
   --max-evals <n>       autoplace/plan: cap evaluations (0 = unlimited)
   --target <a>          plan: SLO-attainment target in [0,1] (default 0.95)
   --max-replicas <n>    plan: total replica cap (default 4)
@@ -115,5 +122,19 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+    use crate::commands::{AUTOPLACE_FLAGS, PLAN_FLAGS, SERVE_FLAGS};
+
+    #[test]
+    fn usage_documents_every_accepted_flag() {
+        for flag in [SERVE_FLAGS, AUTOPLACE_FLAGS, PLAN_FLAGS].concat() {
+            assert!(USAGE.contains(&format!("--{flag} ")), "--{flag} missing");
+        }
+        assert!(!USAGE.contains("--threads"));
     }
 }

@@ -60,8 +60,8 @@ pub fn memory(name: &str) -> Result<HostMemoryConfig, ArgError> {
         let gbps: f64 = rate
             .parse()
             .map_err(|_| ArgError(format!("bad CXL bandwidth '{rate}'")))?;
-        if gbps <= 0.0 {
-            return Err(ArgError("CXL bandwidth must be positive".into()));
+        if !(gbps.is_finite() && gbps > 0.0) {
+            return Err(ArgError("CXL bandwidth must be positive and finite".into()));
         }
         return Ok(HostMemoryConfig::cxl_custom(Bandwidth::from_gb_per_s(gbps)));
     }
@@ -123,6 +123,8 @@ mod tests {
         let m = memory("cxl:12.5").unwrap();
         assert_eq!(m.kind(), MemoryConfigKind::CxlCustom);
         assert!(memory("cxl:-3").is_err());
+        assert!(memory("cxl:nan").is_err());
+        assert!(memory("cxl:inf").is_err());
         assert!(memory("cxl:fast").is_err());
     }
 

@@ -1,4 +1,4 @@
-//! The parallel, pruned, multi-resolution search driver.
+//! The pruned, multi-resolution search driver.
 //!
 //! # Search order: screen, sort, evaluate, mass-prune
 //!
@@ -18,30 +18,16 @@
 //! touched. The expensive table build + pipeline run therefore happen
 //! only for the bound-ordered prefix that might actually win.
 //!
-//! # Determinism
+//! # Chunks and the frozen threshold
 //!
-//! The winner must be bit-identical to a serial sweep whatever the
-//! thread count. Three mechanisms guarantee it:
-//!
-//! 1. the candidate schedule is fixed before parallel evaluation
-//!    begins: the screen pass is a pure function of each candidate,
-//!    and the sort key (bound, mha, ffn) is a total order, so the
-//!    ranked schedule and its fixed-size chunk boundaries depend only
-//!    on the evaluation history, never on the thread count;
-//! 2. each chunk's candidates are evaluated against a pruning
-//!    threshold *frozen at chunk launch*, so every per-candidate
-//!    outcome is a pure function of (candidate, threshold) — and the
-//!    vendored rayon's `collect` returns outcomes in input order;
-//! 3. the reduction over a chunk's outcomes is serial and in order,
-//!    applying the same strict-improvement rule as the serial sweep.
-//!
-//! Because per-candidate outcomes are pure in (candidate, threshold),
-//! a level may also run entirely without the thread pool: when a
-//! level has fewer candidates than `threads × CHUNK`, fan-out costs
-//! more than it buys (the zoom levels are four probes each), so the
-//! driver evaluates the same chunks with the same frozen thresholds
-//! inline on the calling thread. The winner is bit-identical by
-//! construction — only wall-clock changes.
+//! The search runs on the calling thread. The fixed chunk sizes
+//! ([`FIRST_CHUNK`], then [`CHUNK`]) decide when the pruning
+//! threshold is refreshed: every candidate of a chunk is checked
+//! against the incumbent's objective *frozen at chunk launch*, and
+//! the chunk's outcomes are then reduced in schedule order with the
+//! strict-improvement rule. The chunk sizes are therefore part of the
+//! search's definition: changing them would change [`SearchStats`]
+//! and the frontier.
 //!
 //! Pruning is winner-preserving: a candidate is pruned only when its
 //! lower bound says it cannot *strictly* beat an incumbent that came
@@ -58,14 +44,12 @@
 //! of the 10201 candidates a full fine grid would cost, and spends
 //! extra evaluations only when they actually move the incumbent.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 // lint: allow(wall-clock-in-sim): SearchStats.wall_ms reports real search cost, never simulated time
 use std::time::Instant;
-
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use crate::error::HelmError;
 use crate::exec::{run_pipeline_with, LayerCostTable, PipelineInputs, RecordMode};
@@ -91,9 +75,8 @@ const COARSE_STEP: u32 = 20;
 const ZOOM_STEPS: [u32; 3] = [10, 4, 2];
 /// Upper bound of the GPU-share axis in half-percent units (100%).
 const AXIS_MAX: u32 = 200;
-/// Candidates per parallel chunk. Fixed (not thread-derived) so chunk
-/// boundaries — and therefore pruning thresholds — are identical
-/// whatever the thread count.
+/// Candidates per chunk: how many are checked against one frozen
+/// pruning threshold before it is refreshed.
 const CHUNK: usize = 8;
 /// Chunk size while no incumbent exists yet. Smaller, so a (likely
 /// near-optimal, thanks to the bound-sorted schedule) incumbent is
@@ -103,8 +86,9 @@ const FIRST_CHUNK: usize = 4;
 /// Resource knobs for one search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchBudget {
-    /// Worker threads for candidate evaluation; 0 means auto
-    /// (`RAYON_NUM_THREADS` or the machine's available parallelism).
+    /// Ignored: both searches run on the calling thread. Kept only so
+    /// `SearchBudget { threads, .. }` literals written against the
+    /// older, multi-threaded searches still compile.
     pub threads: usize,
     /// Cap on pipeline evaluations; 0 means unlimited. When the cap
     /// truncates the search, the best candidate found so far wins
@@ -226,11 +210,8 @@ pub(super) struct SearchEngine<'a> {
     /// computes feeding the bound. Placement-invariant, so every
     /// candidate at the same batch shares one vector: the latency
     /// objective computes it exactly once per search, the throughput
-    /// objective once per distinct `max_batch`. Shared across the
-    /// pool's workers; the lock guards a tiny map, and a racing
-    /// double-compute is harmless (both sides produce the same
-    /// vector).
-    decode_computes: Mutex<BTreeMap<u32, Arc<Vec<SimDuration>>>>,
+    /// objective once per distinct `max_batch`.
+    decode_computes: RefCell<BTreeMap<u32, Rc<Vec<SimDuration>>>>,
 }
 
 impl<'a> SearchEngine<'a> {
@@ -257,39 +238,22 @@ impl<'a> SearchEngine<'a> {
             host_capacity: system.tier_capacity(Tier::Cpu),
             bounds: BoundContext::new(system, model, workload),
             template: CustomPlacementTemplate::new(model, policy.compressed()),
-            decode_computes: Mutex::new(BTreeMap::new()),
+            decode_computes: RefCell::new(BTreeMap::new()),
         }
     }
 
     /// The memoized sorted decode-compute vector for `batch` (see the
-    /// field doc). Computes outside the lock on a miss so workers
-    /// never serialize on the kernel-model walk.
-    fn decode_computes_for(&self, inp: &PipelineInputs<'_>, batch: u32) -> Arc<Vec<SimDuration>> {
-        let cached = self
-            .decode_computes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&batch)
-            .cloned();
-        if let Some(computes) = cached {
-            return computes;
-        }
-        let computes = Arc::new(BoundContext::sorted_decode_computes(inp));
+    /// field doc).
+    fn decode_computes_for(&self, inp: &PipelineInputs<'_>, batch: u32) -> Rc<Vec<SimDuration>> {
         self.decode_computes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .borrow_mut()
             .entry(batch)
-            .or_insert_with(|| computes.clone())
+            .or_insert_with(|| Rc::new(BoundContext::sorted_decode_computes(inp)))
             .clone()
     }
 
     pub(super) fn run(self) -> Result<AutoPlacement, HelmError> {
         let started = Instant::now(); // lint: allow(wall-clock-in-sim): feeds SearchStats.wall_ms run metadata only
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.budget.threads)
-            .build()
-            .unwrap_or_else(|_| unreachable!("vendored rayon pool build is infallible"));
-
         let mut state = SearchState {
             stats: SearchStats::default(),
             frontier: Frontier::new(),
@@ -297,13 +261,13 @@ impl<'a> SearchEngine<'a> {
             seen: BTreeSet::new(),
         };
 
-        let mut budget_left = self.run_level(&pool, &coarse_grid(), &mut state)?;
+        let mut budget_left = self.run_level(&coarse_grid(), &mut state)?;
         for step in zoom_steps(self.space.fine_step_half_pct) {
             while budget_left {
                 let Some(center) = state.best.as_ref().map(|b| (b.mha, b.ffn)) else {
                     break;
                 };
-                budget_left = self.run_level(&pool, &plus_neighbors(center, step), &mut state)?;
+                budget_left = self.run_level(&plus_neighbors(center, step), &mut state)?;
                 let moved = state.best.as_ref().map(|b| (b.mha, b.ffn)) != Some(center);
                 if !moved {
                     break;
@@ -347,33 +311,15 @@ impl<'a> SearchEngine<'a> {
     /// must stop scheduling further levels).
     fn run_level(
         &self,
-        pool: &rayon::ThreadPool,
         schedule: &[(u32, u32)],
         state: &mut SearchState,
     ) -> Result<bool, HelmError> {
-        let pending: Vec<(u32, u32)> = schedule
+        let mut ranked: Vec<Screened> = schedule
             .iter()
             .copied()
             .filter(|c| state.seen.insert(*c))
+            .flat_map(|c| self.screen(c))
             .collect();
-        // Adaptive serial fallback: a level smaller than one chunk per
-        // worker can't keep the pool busy, and fan-out overhead beats
-        // the work (the zoom levels are four probes each). Workers are
-        // clamped to the machine's parallelism first — a requested
-        // thread count the hardware can't run concurrently is pure
-        // spawn overhead. Outcomes are pure in (candidate, threshold)
-        // and reduced in input order either way, so the winner is
-        // bit-identical.
-        let workers = pool
-            .current_num_threads()
-            .min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-        let serial = workers <= 1 || pending.len() < workers * CHUNK;
-        let screened: Vec<Vec<Screened>> = if serial {
-            pending.iter().map(|&c| self.screen(c)).collect()
-        } else {
-            pool.install(|| pending.par_iter().map(|&c| self.screen(c)).collect())
-        };
-        let mut ranked: Vec<Screened> = screened.into_iter().flatten().collect();
         ranked.sort_by(|a, b| self.promise_order(a, b));
         let mut cursor = 0usize;
         while cursor < ranked.len() {
@@ -394,18 +340,8 @@ impl<'a> SearchEngine<'a> {
             let chunk = &ranked[cursor..cursor + take];
             cursor += take;
             let threshold = state.best.as_ref().map(|b| self.objective_value(&b.report));
-            let outcomes: Vec<Outcome> = if serial {
-                chunk.iter().map(|s| self.evaluate(s, threshold)).collect()
-            } else {
-                pool.install(|| {
-                    chunk
-                        .par_iter()
-                        .map(|s| self.evaluate(s, threshold))
-                        .collect()
-                })
-            };
             let mut chunk_pruned = false;
-            for outcome in outcomes {
+            for outcome in chunk.iter().map(|s| self.evaluate(s, threshold)) {
                 match outcome {
                     Outcome::Evaluated(eval) => {
                         state.stats.evaluated += 1;
@@ -461,7 +397,6 @@ impl<'a> SearchEngine<'a> {
     /// An empty result means infeasible. With a joint batch space
     /// ([`SearchSpace::batches`]) one point expands into one
     /// candidate per listed batch that fits GPU memory alongside it.
-    /// Pure in the candidate, so it can run on any worker.
     fn screen(&self, (mha, ffn): (u32, u32)) -> Vec<Screened> {
         let share = |half: u32| {
             let pct = f64::from(half) / 2.0;
@@ -561,8 +496,8 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Costs one screened candidate. Pure in `(candidate, threshold)`,
-    /// so it can run on any worker without affecting the result.
+    /// Costs one screened candidate against the chunk's frozen
+    /// `threshold`.
     fn evaluate(&self, screened: &Screened, threshold: Option<f64>) -> Outcome {
         if let (Some(bound), Some(best)) = (screened.bound, threshold) {
             if bound_dominated(self.objective, bound, best) {

@@ -7,10 +7,9 @@
 //! simulator — rebuilt as a search engine fast enough to sit on the
 //! serving path rather than an offline sweep:
 //!
-//! * [`engine`] evaluates candidates in parallel (vendored rayon) in
-//!   bound-sorted fixed chunks with a serial in-order reduction, so
-//!   the winner is bit-identical to the serial sweep whatever the
-//!   thread count;
+//! * [`engine`] evaluates candidates on the calling thread in
+//!   bound-sorted fixed chunks, each checked against a pruning
+//!   threshold frozen at chunk launch and reduced in schedule order;
 //! * [`prune`] skips candidates whose analytical lower bound on
 //!   decode-token time already loses to the incumbent — those never
 //!   pay for a pipeline run, and since the schedule is sorted
@@ -70,7 +69,7 @@ pub struct AutoPlacement {
 }
 
 /// Grid-searches per-kind GPU shares for `objective` with the default
-/// [`SearchBudget`] (auto thread count, unlimited evaluations).
+/// [`SearchBudget`] (unlimited evaluations).
 ///
 /// The search keeps embeddings host-resident (they are a rounding
 /// error of the footprint) and storage unused (matching the paper's
@@ -97,10 +96,9 @@ pub fn optimize(
     )
 }
 
-/// [`optimize`] with an explicit [`SearchBudget`] — thread count for
-/// the parallel candidate evaluation and an optional cap on pipeline
-/// evaluations (the search returns its best-so-far when the cap
-/// truncates it).
+/// [`optimize`] with an explicit [`SearchBudget`]: an optional cap on
+/// pipeline evaluations (the search returns its best-so-far when the
+/// cap truncates it).
 ///
 /// # Errors
 ///

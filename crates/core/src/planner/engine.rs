@@ -1,4 +1,4 @@
-//! The planner's parallel, pruned, probe-then-confirm search driver.
+//! The planner's pruned, probe-then-confirm search driver.
 //!
 //! # Search order
 //!
@@ -16,25 +16,19 @@
 //!    counts, then scheduler, then admission — all indices into the
 //!    caller's `PlanSpace`, so the schedule is a pure function of the
 //!    lattice);
-//! 3. candidates are probed with short capped-request DES runs in
-//!    fixed-size chunks, reduced serially in schedule order; the
-//!    first probe that clears the target is re-run at full length,
-//!    and a confirmed run ends the search. A probe-feasible candidate
-//!    that *fails* confirmation is skipped deterministically and the
-//!    scan continues.
+//! 3. candidates are probed one by one in schedule order with short
+//!    capped-request DES runs; the first probe that clears the target
+//!    is re-run at full length, and a confirmed run ends the search.
+//!    A probe-feasible candidate that *fails* confirmation is skipped
+//!    deterministically and the scan continues.
 //!
 //! # Determinism
 //!
-//! The same three mechanisms as the autoplace engine make the chosen
-//! configuration bit-identical at any thread count: the schedule and
-//! its chunk boundaries are fixed before evaluation begins; each
-//! probe is a pure function of its candidate (every probe replays the
-//! identical arrival prefix from the traffic seed, and the shared
-//! calibration cache is warmed before the pool spins up, so workers
-//! only ever read it); and the reduction over each chunk's outcomes
-//! is serial and in schedule order. A level smaller than one chunk
-//! per worker runs inline on the calling thread — same chunks, same
-//! order, same winner, less fan-out overhead.
+//! The search runs on the calling thread, and every probe is a pure
+//! function of its candidate: it replays the identical arrival prefix
+//! from the traffic seed, and the calibration cache is warmed for
+//! every template before the first probe, so probes and
+//! confirmations only ever hit it.
 //!
 //! # Fallback
 //!
@@ -45,12 +39,8 @@
 //! highest-bound mix under the first scheduler/admission variant. The
 //! report marks the result infeasible rather than failing the search.
 
-use std::num::NonZeroUsize;
 // lint: allow(wall-clock-in-sim): SearchStats.wall_ms reports real search cost, never simulated time
 use std::time::Instant;
-
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use super::bound::{bound_over, TrafficRealization};
 use super::{
@@ -65,10 +55,6 @@ use crate::online::{
 };
 use crate::server::Server;
 use workload::WorkloadSpec;
-
-/// Candidates per parallel probe chunk. Fixed (not thread-derived) so
-/// chunk boundaries are identical whatever the thread count.
-const CHUNK: usize = 8;
 
 /// Every replica-count vector of length `templates` summing to
 /// `total`, in lexicographic order — the deterministic mix
@@ -144,15 +130,14 @@ impl<'a> PlanEngine<'a> {
 
     /// Runs one DES simulation of `ranked`'s cluster over the first
     /// `num_requests` arrivals of the traffic sequence. Pure in the
-    /// candidate: arrivals restart from the traffic seed and the
-    /// warm calibration cache is only read, so probes can run on any
-    /// worker in any order.
+    /// candidate: arrivals restart from the traffic seed, and every
+    /// template is already in the warm calibration cache.
     fn simulate(
         &self,
         servers: &[Server],
         ranked: &Ranked,
         num_requests: usize,
-        cache: &CalibrationCache,
+        cache: &mut CalibrationCache,
     ) -> Result<ClusterReport, HelmError> {
         let groups: Vec<(&Server, usize)> = servers
             .iter()
@@ -168,14 +153,13 @@ impl<'a> PlanEngine<'a> {
             .with_granularity(self.space.granularity)
             .with_record(RecordMode::Aggregate);
         let mut arrivals = PoissonArrivals::new(self.traffic.lambda, self.traffic.seed);
-        let mut cache = cache.clone();
         run_cluster_mix_cached(
             &groups,
             self.workload,
             &mut arrivals,
             num_requests,
             spec,
-            &mut cache,
+            cache,
         )
     }
 
@@ -187,8 +171,8 @@ impl<'a> PlanEngine<'a> {
             .max(1)
             .min(self.traffic.num_requests);
         // Template servers and the shared calibration memo, warmed
-        // serially before any parallel probing: two pipeline runs per
-        // distinct template for the entire search.
+        // before the first probe: two pipeline runs per distinct
+        // template for the entire search.
         let servers = self
             .space
             .templates
@@ -201,14 +185,6 @@ impl<'a> PlanEngine<'a> {
             .map(|s| cache.get_or_calibrate(s, self.workload))
             .collect::<Result<Vec<ServiceModel>, _>>()?;
         let realization = TrafficRealization::realize(self.traffic);
-
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.budget.threads)
-            .build()
-            .unwrap_or_else(|_| unreachable!("vendored rayon pool build is infallible"));
-        let workers = pool
-            .current_num_threads()
-            .min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
 
         let mut stats = SearchStats::default();
         let mut candidates_total = 0usize;
@@ -263,65 +239,37 @@ impl<'a> PlanEngine<'a> {
                     .then_with(|| a.scheduler.cmp(&b.scheduler))
                     .then_with(|| a.admission.cmp(&b.admission))
             });
-            // Adaptive serial fallback, as in the autoplace engine: a
-            // level too small to keep every worker busy runs inline —
-            // same chunks, same reduction order, bit-identical pick.
-            let serial = workers <= 1 || ranked.len() < workers * CHUNK;
-            let mut cursor = 0usize;
-            while cursor < ranked.len() {
-                let cap = if self.budget.max_evals > 0 {
-                    self.budget.max_evals.saturating_sub(stats.evaluated)
-                } else {
-                    usize::MAX
-                };
-                if cap == 0 {
+            for ranked_candidate in &ranked {
+                if self.budget.max_evals > 0 && stats.evaluated >= self.budget.max_evals {
                     break 'levels;
                 }
-                let take = CHUNK.min(cap).min(ranked.len() - cursor);
-                let chunk = &ranked[cursor..cursor + take];
-                cursor += take;
-                let probes: Vec<Result<ClusterReport, HelmError>> = if serial {
-                    chunk
-                        .iter()
-                        .map(|r| self.simulate(&servers, r, probe_requests, &cache))
-                        .collect()
-                } else {
-                    pool.install(|| {
-                        chunk
-                            .par_iter()
-                            .map(|r| self.simulate(&servers, r, probe_requests, &cache))
-                            .collect()
-                    })
-                };
-                for (ranked_candidate, probe) in chunk.iter().zip(probes) {
-                    let report = probe?;
-                    stats.evaluated += 1;
-                    let attainment = report.slo_attainment();
-                    if best_probe.as_ref().is_none_or(|(_, b)| attainment > *b) {
-                        best_probe = Some((self.candidate(ranked_candidate), attainment));
+                let report =
+                    self.simulate(&servers, ranked_candidate, probe_requests, &mut cache)?;
+                stats.evaluated += 1;
+                let attainment = report.slo_attainment();
+                if best_probe.as_ref().is_none_or(|(_, b)| attainment > *b) {
+                    best_probe = Some((self.candidate(ranked_candidate), attainment));
+                }
+                if attainment >= self.target.attainment {
+                    confirmations += 1;
+                    // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
+                    let confirm_started = Instant::now();
+                    let confirmed = self.simulate(
+                        &servers,
+                        ranked_candidate,
+                        self.traffic.num_requests,
+                        &mut cache,
+                    )?;
+                    confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
+                    if confirmed.slo_attainment() >= self.target.attainment {
+                        outcome = Some((self.candidate(ranked_candidate), attainment, confirmed));
+                        break 'levels;
                     }
-                    if attainment >= self.target.attainment {
-                        confirmations += 1;
-                        // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
-                        let confirm_started = Instant::now();
-                        let confirmed = self.simulate(
-                            &servers,
-                            ranked_candidate,
-                            self.traffic.num_requests,
-                            &cache,
-                        )?;
-                        confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
-                        if confirmed.slo_attainment() >= self.target.attainment {
-                            outcome =
-                                Some((self.candidate(ranked_candidate), attainment, confirmed));
-                            break 'levels;
-                        }
-                        // Probe-feasible but not confirmed: the short
-                        // prefix was too optimistic. Skip it and keep
-                        // scanning — deterministically, since the
-                        // schedule and this rejection are both pure
-                        // in the lattice.
-                    }
+                    // Probe-feasible but not confirmed: the short
+                    // prefix was too optimistic. Skip it and keep
+                    // scanning — deterministically, since the
+                    // schedule and this rejection are both pure
+                    // in the lattice.
                 }
             }
         }
@@ -344,7 +292,8 @@ impl<'a> PlanEngine<'a> {
                             scheduler: 0,
                             admission: 0,
                         };
-                        let report = self.simulate(&servers, &ranked, probe_requests, &cache)?;
+                        let report =
+                            self.simulate(&servers, &ranked, probe_requests, &mut cache)?;
                         stats.evaluated += 1;
                         (self.candidate(&ranked), report.slo_attainment())
                     }
@@ -369,7 +318,7 @@ impl<'a> PlanEngine<'a> {
                 // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
                 let confirm_started = Instant::now();
                 let confirmed =
-                    self.simulate(&servers, &ranked, self.traffic.num_requests, &cache)?;
+                    self.simulate(&servers, &ranked, self.traffic.num_requests, &mut cache)?;
                 confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
                 (candidate, probe_attainment, confirmed)
             }

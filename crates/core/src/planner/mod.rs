@@ -34,16 +34,13 @@
 //!    so the two calibration pipeline runs per distinct
 //!    `(placement, batch)` template are paid once for the whole
 //!    search instead of once per probe.
-//! 3. **Parallel, deterministic evaluation**: surviving candidates
-//!    are probed with short capped-request DES runs
-//!    ([`RecordMode::Aggregate`](crate::exec::RecordMode)) in fixed
-//!    chunks on the vendored rayon pool, best-bound-first, with a
-//!    serial in-order reduction — the identical determinism recipe as
-//!    the autoplace engine, so the chosen configuration is
-//!    bit-identical at any thread count. Replica counts are walked
-//!    coarse-to-fine (cheapest level first), and the first
-//!    probe-feasible candidate is verified with one full-length
-//!    confirmation run before being returned.
+//! 3. **Best-bound-first probing**: surviving candidates are probed
+//!    one by one with short capped-request DES runs
+//!    ([`RecordMode::Aggregate`](crate::exec::RecordMode)), in a
+//!    schedule fixed by the lattice, on the calling thread. Replica
+//!    counts are walked coarse-to-fine (cheapest level first), and
+//!    the first probe-feasible candidate is verified with one
+//!    full-length confirmation run before being returned.
 //!
 //! The resource knobs ([`SearchBudget`]) and work accounting
 //! ([`SearchStats`]) are shared with [`crate::autoplace`] — one
@@ -280,9 +277,9 @@ pub struct PlanReport {
 }
 
 /// Finds the minimum-resource configuration in `space` meeting
-/// `target` under `traffic`, by bound-pruned, calibration-cached,
-/// parallel probe-then-confirm search (see the module docs). The
-/// chosen configuration is bit-identical at any `budget.threads`.
+/// `target` under `traffic`, by bound-pruned, calibration-cached
+/// probe-then-confirm search on the calling thread (see the module
+/// docs). `budget.threads` is ignored.
 ///
 /// # Errors
 ///

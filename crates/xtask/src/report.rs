@@ -2,8 +2,7 @@
 //!
 //! The JSON form (`cargo xtask lint --format json`) is what CI
 //! archives as a build artifact; its shape is versioned and
-//! hand-rolled (xtask takes no dependencies, matching the
-//! vendored-rayon precedent).
+//! hand-rolled (xtask takes no dependencies).
 
 use crate::rules::{Finding, RULES};
 use std::fmt::Write as _;

@@ -9,10 +9,6 @@
 //! the full report. Any hash-order leak (e.g. a `HashMap` iteration
 //! feeding a float sum) shows up as a diff here long before it would
 //! corrupt a paper figure.
-//!
-//! CI runs this suite under `RAYON_NUM_THREADS` ∈ {1, 4}: the DES is
-//! single-threaded by design, but the matrix proves the ambient
-//! worker-pool size cannot reach its results either.
 
 use helm_core::exec::{PipelineInputs, RecordMode};
 use helm_core::exec_des::run_pipeline_des;
