@@ -20,6 +20,13 @@
 //!   every volume and coalescing must clear
 //!   [`GRANULARITY_SPEEDUP_FLOOR`] at the largest.
 //!
+//! A dispatch axis times the finish-time path: the continuous mix
+//! under each of rr, jsq, lft and edf, with deadline-feasible
+//! admission and bimodal deadlines, at 1e5 requests (1e4 with
+//! `--quick`). It reports events/s per scheduler and byte-compares
+//! the per-step and coalesced reports of each; it sets no speed
+//! floor.
+//!
 //! Results land in `output/BENCH_des.json`. `--quick` drops the 1e6
 //! tier for CI smoke runs (the floors still apply at 1e5).
 
@@ -28,8 +35,8 @@ use std::time::Instant;
 use bench::{print_table, section};
 use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, ClusterReport, ClusterSpec,
-    PoissonArrivals, StepGranularity,
+    run_cluster_mix_cached, run_cluster_mix_traced, AdmissionPolicy, CalibrationCache,
+    ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
@@ -39,6 +46,7 @@ use helm_core::trace::validate_chrome_trace;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use simcore::queue::QueueBackend;
+use simcore::SimDuration;
 use workload::WorkloadSpec;
 
 /// Hard floor on sustained events/s at the largest request volume.
@@ -61,6 +69,17 @@ const GRANULARITY_SPEEDUP_FLOOR: f64 = 2.0;
 /// scheduler under sustained load, not idle-tick dispatch.
 const ARRIVAL_RATE: f64 = 2.0;
 
+/// Bimodal deadlines of the dispatch axis: half the arrivals must
+/// finish within a minute, the rest within ten, so deadline-feasible
+/// admission both accepts and rejects and EDF's best-fit has real
+/// choices to make.
+const DISPATCH_DEADLINES: DeadlineSpec = DeadlineSpec::Bimodal {
+    tight: SimDuration::from_secs_const(60.0),
+    loose: SimDuration::from_secs_const(600.0),
+    tight_fraction: 0.5,
+    seed: 7,
+};
+
 /// One measured volume tier.
 struct Tier {
     num_requests: usize,
@@ -78,11 +97,20 @@ fn run_tier(
     continuous: bool,
 ) -> Result<Tier, helm_core::HelmError> {
     let spec = ClusterSpec::default()
-        .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
+        .with_scheduler(SchedulerKind::JoinShortestQueue)
         .with_record(record)
         .with_backend(backend)
         .with_granularity(granularity)
         .with_continuous(continuous);
+    run_spec(groups, workload, num_requests, spec)
+}
+
+fn run_spec(
+    groups: &[(&Server, usize)],
+    workload: &WorkloadSpec,
+    num_requests: usize,
+    spec: ClusterSpec,
+) -> Result<Tier, helm_core::HelmError> {
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, 4242);
     let started = Instant::now();
     let report = run_cluster_mix_cached(
@@ -330,6 +358,98 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
+    section("dispatch axis: rr / jsq / lft / edf, continuous mix, deadline-feasible");
+    // The finish-time path: lft and edf price every replica on each
+    // arrival, and deadline-feasible admission prices the chosen one,
+    // so this axis times dispatch itself rather than the event loop.
+    // Per-step and coalesced reports must stay byte-identical under
+    // every scheduler.
+    let dispatch_n = if quick { 10_000 } else { 100_000 };
+    let mut dispatch_rows = Vec::new();
+    let mut dispatch_json = Vec::new();
+    for scheduler in [
+        SchedulerKind::RoundRobin,
+        SchedulerKind::JoinShortestQueue,
+        SchedulerKind::LeastFinishTime,
+        SchedulerKind::DeadlineAware,
+    ] {
+        let spec = ClusterSpec::default()
+            .with_scheduler(scheduler)
+            .with_admission(AdmissionPolicy::DeadlineFeasible)
+            .with_deadlines(DISPATCH_DEADLINES)
+            .with_record(RecordMode::Aggregate)
+            .with_backend(QueueBackend::Calendar)
+            .with_continuous(true);
+        let step = run_spec(
+            groups,
+            &workload,
+            dispatch_n,
+            spec.with_granularity(StepGranularity::PerStep),
+        )?;
+        let coal = run_spec(
+            groups,
+            &workload,
+            dispatch_n,
+            spec.with_granularity(StepGranularity::Coalesced),
+        )?;
+        if format!("{:?}", step.report) != format!("{:?}", coal.report) {
+            return Err(format!(
+                "per-step and coalesced granularities diverged under {scheduler} at \
+                 n={dispatch_n}"
+            )
+            .into());
+        }
+        let audit = coal
+            .report
+            .audit
+            .as_ref()
+            .ok_or("auditing was forced on but the dispatch run has no ledger")?;
+        if !audit.is_clean() {
+            return Err(format!("{scheduler} audit ledger dirty: {audit}").into());
+        }
+        let events = coal.report.events as f64;
+        dispatch_rows.push((
+            scheduler.to_string(),
+            vec![
+                step.wall_s * 1000.0,
+                coal.wall_s * 1000.0,
+                events,
+                events / step.wall_s,
+                events / coal.wall_s,
+                coal.report.served as f64,
+                coal.report.rejected as f64,
+            ],
+        ));
+        dispatch_json.push(format!(
+            "    {{\"scheduler\": \"{scheduler}\", \"per_step_wall_s\": {:.3}, \
+             \"coalesced_wall_s\": {:.3}, \"events\": {}, \
+             \"per_step_events_per_s\": {:.1}, \"coalesced_events_per_s\": {:.1}, \
+             \"served\": {}, \"rejected\": {}, \"expired\": {}, \
+             \"reports_identical\": true, \"audit_clean\": true}}",
+            step.wall_s,
+            coal.wall_s,
+            coal.report.events,
+            events / step.wall_s,
+            events / coal.wall_s,
+            coal.report.served,
+            coal.report.rejected,
+            coal.report.expired,
+        ));
+    }
+    print_table(
+        &[
+            "scheduler",
+            "step(ms)",
+            "coal(ms)",
+            "events",
+            "step ev/s",
+            "coal ev/s",
+            "served",
+            "rejected",
+        ],
+        &dispatch_rows,
+    );
+
     section("tracing axis: span collection on vs off at n = 1e4");
     // Tracing is a side channel: the traced run must produce a
     // byte-identical report (attribution is computed unconditionally;
@@ -349,7 +469,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         false,
     )?;
     let spec = ClusterSpec::default()
-        .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
+        .with_scheduler(SchedulerKind::JoinShortestQueue)
         .with_record(RecordMode::Aggregate)
         .with_backend(QueueBackend::Calendar);
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, 4242);
@@ -439,11 +559,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"backend_equivalence_n\": 10000,\n  \"backend_equivalence\": true,\n  \
          \"events_per_s_floor\": {EVENTS_PER_S_FLOOR},\n  \"tiers\": [\n{}\n  ],\n  \
          \"granularity_speedup_floor\": {GRANULARITY_SPEEDUP_FLOOR},\n  \
-         \"granularity\": [\n{}\n  ]\n}}\n",
+         \"granularity\": [\n{}\n  ],\n  \"dispatch_num_requests\": {dispatch_n},\n  \
+         \"dispatch_admission\": \"deadline-feasible\",\n  \
+         \"dispatch\": [\n{}\n  ]\n}}\n",
         model.name(),
         memory.kind(),
         tier_json.join(",\n"),
         gran_json.join(",\n"),
+        dispatch_json.join(",\n"),
     );
     std::fs::create_dir_all("output")?;
     std::fs::write("output/BENCH_des.json", &json)?;

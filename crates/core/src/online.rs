@@ -129,6 +129,13 @@ impl PoissonArrivals {
 /// time-between-tokens at each calibration point — which is what
 /// continuous batching needs to price a single decode step.
 ///
+/// Calibration prices every batch size once, into a per-batch table
+/// (entry `b` for `b` in `0..=max(max_batch, 1)`); every query is a
+/// table lookup, so the online engine never re-evaluates the
+/// interpolation on its hot path. The interpolation is only the
+/// table's filler: an exact per-batch calibration would change how
+/// the table is filled, not how it is read.
+///
 /// Queries outside the calibrated range are clamped, never
 /// extrapolated: batch 0 prices as batch 1 (a degenerate batch still
 /// pays the single-request cost) and batches beyond
@@ -150,6 +157,18 @@ pub struct ServiceModel {
     /// run, from the pipeline's exact critical-path attribution.
     xfer1: f64,
     xfern: f64,
+    /// `prices[b]` is batch `b`'s price, for `b` in
+    /// `0..=max(max_batch, 1)` (filled by [`ServiceModel::priced`]).
+    prices: Vec<Price>,
+}
+
+/// One batch size's entry in the [`ServiceModel`] price table.
+#[derive(Debug, Clone, Copy)]
+struct Price {
+    total: SimDuration,
+    prefill: SimDuration,
+    decode_step: SimDuration,
+    transfer_share: f64,
 }
 
 impl ServiceModel {
@@ -190,7 +209,9 @@ impl ServiceModel {
             tbtn: full.mean_tbt().as_secs(),
             xfer1: single.attribution.transfer_fraction(),
             xfern: full.attribution.transfer_fraction(),
-        })
+            prices: Vec::new(),
+        }
+        .priced())
     }
 
     /// The batch cap this model was calibrated for.
@@ -203,6 +224,34 @@ impl ServiceModel {
         self.gen_len
     }
 
+    /// Fills the price table from the two calibration points, one
+    /// entry per batch size the getters can index.
+    fn priced(mut self) -> ServiceModel {
+        let cap = self.max_batch.max(1);
+        self.prices = (0..=cap).map(|b| self.interpolate(b)).collect();
+        self
+    }
+
+    /// The table filler: batch `batch`'s price, linearly interpolated
+    /// between the calibration points (a single-point model when the
+    /// cap is 1).
+    fn interpolate(&self, batch: u32) -> Price {
+        if self.max_batch <= 1 {
+            return Price {
+                total: SimDuration::from_secs(self.tn),
+                prefill: SimDuration::from_secs(self.ttftn),
+                decode_step: SimDuration::from_secs(self.tbtn),
+                transfer_share: self.xfern,
+            };
+        }
+        Price {
+            total: SimDuration::from_secs(self.lerp(batch, self.t1, self.tn)),
+            prefill: SimDuration::from_secs(self.lerp(batch, self.ttft1, self.ttftn)),
+            decode_step: SimDuration::from_secs(self.lerp(batch, self.tbt1, self.tbtn)),
+            transfer_share: self.lerp(batch, self.xfer1, self.xfern),
+        }
+    }
+
     fn lerp(&self, batch: u32, lo: f64, hi: f64) -> f64 {
         // Clamp into the calibrated range. The seed code computed
         // `batch - 1` unguarded — a `u32` underflow for batch 0
@@ -213,44 +262,38 @@ impl ServiceModel {
         lo + frac * (hi - lo)
     }
 
+    /// The table entry for `batch`, clamped to the cap (entry 0 already
+    /// holds the batch-1 price).
+    fn price(&self, batch: u32) -> &Price {
+        &self.prices[batch.min(self.max_batch.max(1)) as usize]
+    }
+
     /// Run-to-completion service time for a batch of `batch`
     /// (clamped into the calibrated range `1..=max_batch`).
     pub fn total(&self, batch: u32) -> SimDuration {
-        if self.max_batch <= 1 {
-            return SimDuration::from_secs(self.tn);
-        }
-        SimDuration::from_secs(self.lerp(batch, self.t1, self.tn))
+        self.price(batch).total
     }
 
     /// Prefill time for `batch` prompts entering together (their
     /// first output token is produced by this pass; the batch is
     /// clamped into the calibrated range).
     pub fn prefill(&self, batch: u32) -> SimDuration {
-        if self.max_batch <= 1 {
-            return SimDuration::from_secs(self.ttftn);
-        }
-        SimDuration::from_secs(self.lerp(batch, self.ttft1, self.ttftn))
+        self.price(batch).prefill
     }
 
     /// One decode step over an active set of `batch` requests (one
     /// output token each; the batch is clamped into the calibrated
     /// range).
     pub fn decode_step(&self, batch: u32) -> SimDuration {
-        if self.max_batch <= 1 {
-            return SimDuration::from_secs(self.tbtn);
-        }
-        SimDuration::from_secs(self.lerp(batch, self.tbt1, self.tbtn))
+        self.price(batch).decode_step
     }
 
-    /// Transfer-bound fraction of a batch's service time, lerped
+    /// Transfer-bound fraction of a batch's service time, interpolated
     /// between the two calibration runs' exact pipeline attributions
     /// — how cluster-level service time is split into compute- and
     /// transfer-bound buckets.
     pub fn transfer_share(&self, batch: u32) -> f64 {
-        if self.max_batch <= 1 {
-            return self.xfern;
-        }
-        self.lerp(batch, self.xfer1, self.xfern)
+        self.price(batch).transfer_share
     }
 }
 
@@ -1070,8 +1113,7 @@ struct Req {
 impl Req {
     /// EDF sort key: requests without a deadline sort last.
     fn edf_key(&self) -> SimTime {
-        self.deadline
-            .unwrap_or(SimTime::from_secs(f64::INFINITY).max(SimTime::ZERO))
+        self.deadline.unwrap_or(SimTime::INFINITY)
     }
 }
 
@@ -1087,8 +1129,11 @@ struct Pipe {
     idle: bool,
     /// In-flight request count (run-to-completion mode).
     in_flight: usize,
-    /// Active set: request plus output tokens still owed.
-    /// Continuous mode only.
+    /// Active set: request plus output tokens still owed, in
+    /// admission order. Every step decrements every entry and
+    /// newcomers join at the back owing the full `gen_len`, so the
+    /// owed count never decreases along the set and the last entry
+    /// owes the most. Continuous mode only.
     active: Vec<(Req, usize)>,
     /// Members of the in-flight run-to-completion batch. Held in pipe
     /// state (rather than captured in the completion closure) so both
@@ -1187,6 +1232,11 @@ struct ClusterSt {
     /// The registered end-of-traffic drain span (coalesced mode):
     /// armed by the last arrival to replay every remaining boundary.
     drain_span: Option<SpanId>,
+    /// The current arrival's finish-time snapshot: `finish[p]` is
+    /// [`modeled_finish`] of pipe `p`. Filled once per arrival by
+    /// [`dispatch`] under the schedulers that price every pipe, then
+    /// read by [`admit`]; reused across arrivals.
+    finish: Vec<SimTime>,
 }
 
 fn req_channel(p: usize) -> String {
@@ -1200,10 +1250,16 @@ fn req_channel(p: usize) -> String {
 /// decode steps are added first; the batched drain of the queue is a
 /// deliberate upper-bound approximation of step-granularity
 /// admission.
+///
+/// Every price is a [`ServiceModel`] table lookup, and the active
+/// set's largest owed count is its last entry (owed counts never
+/// decrease along the set, see [`Pipe::active`]), so the cost is one
+/// addition per drained batch. The drain stays a loop of additions:
+/// a closed form would round differently.
 fn modeled_finish(pipe: &Pipe, model: &ServiceModel, continuous: bool, now: SimTime) -> SimTime {
     let mut t = pipe.free_at.max(now);
     if continuous {
-        if let Some(owed) = pipe.active.iter().map(|(_, owed)| *owed).max() {
+        if let Some(&(_, owed)) = pipe.active.last() {
             t += model.decode_step(pipe.active.len() as u32) * owed as f64;
         }
     }
@@ -1225,9 +1281,41 @@ fn infeasible(req: &Req, model: &ServiceModel, now: SimTime) -> bool {
     req.deadline.is_some_and(|d| now + model.total(1) > d)
 }
 
+/// Whether `scheduler` prices every pipe on each arrival — and so
+/// leaves the finish-time snapshot [`ClusterSt::finish`] for
+/// [`admit`] to read.
+fn snapshots_finish(scheduler: SchedulerKind) -> bool {
+    matches!(
+        scheduler,
+        SchedulerKind::LeastFinishTime | SchedulerKind::DeadlineAware
+    )
+}
+
 /// The pipeline `spec.scheduler` dispatches an arrival to.
-fn dispatch(st: &ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -> usize {
-    let finish = |pipe: &Pipe| modeled_finish(pipe, &st.models[pipe.model], st.continuous, now);
+///
+/// [`SchedulerKind::LeastFinishTime`] and
+/// [`SchedulerKind::DeadlineAware`] first take one finish-time
+/// snapshot of every pipe into [`ClusterSt::finish`] — one
+/// [`modeled_finish`] per pipe per arrival — and choose from it;
+/// [`admit`] reads the chosen pipe's entry instead of pricing it
+/// again.
+fn dispatch(st: &mut ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -> usize {
+    if snapshots_finish(st.scheduler) {
+        st.finish.clear();
+        st.finish.extend(
+            st.pipes
+                .iter()
+                .map(|pipe| modeled_finish(pipe, &st.models[pipe.model], st.continuous, now)),
+        );
+    }
+    let st = &*st;
+    let least_finish = || {
+        st.finish
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, finish)| **finish)
+            .map_or(0, |(idx, _)| idx)
+    };
     match st.scheduler {
         SchedulerKind::RoundRobin => i % st.pipes.len(),
         SchedulerKind::JoinShortestQueue => st
@@ -1236,12 +1324,7 @@ fn dispatch(st: &ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -
             .enumerate()
             .min_by_key(|(_, pipe)| pipe.load())
             .map_or(0, |(idx, _)| idx),
-        SchedulerKind::LeastFinishTime => st
-            .pipes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, pipe)| finish(pipe))
-            .map_or(0, |(idx, _)| idx),
+        SchedulerKind::LeastFinishTime => least_finish(),
         SchedulerKind::DeadlineAware => {
             // Best-fit: the slowest replica *configuration* that can
             // still meet the deadline, load-balanced by least finish
@@ -1254,28 +1337,23 @@ fn dispatch(st: &ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -
             let best_fit = deadline.and_then(|d| {
                 st.pipes
                     .iter()
+                    .zip(&st.finish)
                     .enumerate()
-                    .filter(|(_, pipe)| finish(pipe) <= d)
-                    .min_by_key(|(_, pipe)| {
-                        (
-                            std::cmp::Reverse(st.models[pipe.model].total(1)),
-                            finish(pipe),
-                        )
+                    .filter(|(_, (_, finish))| **finish <= d)
+                    .min_by_key(|(_, (pipe, finish))| {
+                        (std::cmp::Reverse(st.models[pipe.model].total(1)), **finish)
                     })
                     .map(|(idx, _)| idx)
             });
-            best_fit.unwrap_or_else(|| {
-                st.pipes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, pipe)| finish(pipe))
-                    .map_or(0, |(idx, _)| idx)
-            })
+            best_fit.unwrap_or_else(least_finish)
         }
     }
 }
 
-/// Whether the admission policy accepts `req` on pipeline `p`.
+/// Whether the admission policy accepts `req` on pipeline `p`, the
+/// pipe [`dispatch`] just chose at `now`. Deadline-feasible admission
+/// reads `p`'s finish time from the dispatch snapshot when the
+/// scheduler took one, and prices `p` alone otherwise.
 fn admit(st: &ClusterSt, p: usize, req: &Req, now: SimTime) -> bool {
     let pipe = &st.pipes[p];
     match st.admission {
@@ -1283,6 +1361,7 @@ fn admit(st: &ClusterSt, p: usize, req: &Req, now: SimTime) -> bool {
         AdmissionPolicy::QueueCap(cap) => pipe.load() < cap,
         AdmissionPolicy::DeadlineFeasible => match req.deadline {
             None => true,
+            Some(d) if snapshots_finish(st.scheduler) => st.finish[p] <= d,
             Some(d) => modeled_finish(pipe, &st.models[pipe.model], st.continuous, now) <= d,
         },
     }
@@ -1293,7 +1372,8 @@ fn admit(st: &ClusterSt, p: usize, req: &Req, now: SimTime) -> bool {
 fn push_request(st: &mut ClusterSt, p: usize, req: Req) {
     let queue = &mut st.pipes[p].queue;
     if st.scheduler == SchedulerKind::DeadlineAware {
-        let pos = queue.partition_point(|q| q.edf_key() <= req.edf_key());
+        let key = req.edf_key();
+        let pos = queue.partition_point(|q| q.edf_key() <= key);
         queue.insert(pos, req);
     } else {
         queue.push_back(req);
@@ -1513,6 +1593,10 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
             None => break,
         }
     }
+    debug_assert!(
+        st.pipes[p].active.windows(2).all(|w| w[0].1 <= w[1].1),
+        "active set owed counts must be non-decreasing"
+    );
     let batch = st.pipes[p].active.len() as u32;
     if batch == 0 {
         // The queue drained entirely into expiries and nothing is in
@@ -1885,6 +1969,7 @@ fn run_cluster_engine(
             arrival_pending: None,
             arrival_span: None,
             drain_span: None,
+            finish: Vec::with_capacity(n),
         },
         spec.backend,
     );
@@ -2379,6 +2464,69 @@ mod tests {
         assert!(m.total(1) < m.total(8));
     }
 
+    /// Today's per-batch formula, evaluated directly from the
+    /// calibration points — the reference the price table must
+    /// reproduce bit for bit: `(total, prefill, decode_step,
+    /// transfer_share)`.
+    fn formula_prices(m: &ServiceModel, batch: u32) -> [f64; 4] {
+        if m.max_batch <= 1 {
+            return [m.tn, m.ttftn, m.tbtn, m.xfern];
+        }
+        let lerp = |lo: f64, hi: f64| {
+            let b = batch.clamp(1, m.max_batch.max(1));
+            let frac = f64::from(b - 1) / f64::from(m.max_batch - 1);
+            lo + frac * (hi - lo)
+        };
+        [
+            lerp(m.t1, m.tn),
+            lerp(m.ttft1, m.ttftn),
+            lerp(m.tbt1, m.tbtn),
+            lerp(m.xfer1, m.xfern),
+        ]
+    }
+
+    #[test]
+    fn price_table_is_bit_identical_to_the_formula() {
+        let ws = WorkloadSpec::paper_default();
+        let mut models: Vec<(String, ServiceModel)> = Vec::new();
+        for max_batch in [1, 2, 8, 44] {
+            models.push((format!("toy b={max_batch}"), toy_model(max_batch)));
+            // Distinct, non-dyadic transfer points so the share is
+            // interpolated too, not just copied.
+            let skewed = ServiceModel {
+                t1: 0.1,
+                tn: 7.3,
+                xfer1: 0.3,
+                xfern: 0.9,
+                ..toy_model(max_batch)
+            }
+            .priced();
+            models.push((format!("skewed toy b={max_batch}"), skewed));
+        }
+        for (placement, batch) in [(PlacementKind::Helm, 8), (PlacementKind::AllCpu, 44)] {
+            let m = ServiceModel::calibrate(&server(placement, batch), &ws).unwrap();
+            models.push((format!("{placement} b={batch}"), m));
+        }
+        for (name, m) in &models {
+            // 0 and everything past the cap exercise the clamp.
+            for b in 0..=m.max_batch() + 2 {
+                let got = [
+                    m.total(b).as_secs(),
+                    m.prefill(b).as_secs(),
+                    m.decode_step(b).as_secs(),
+                    m.transfer_share(b),
+                ];
+                let want = formula_prices(m, b);
+                for (getter, (g, w)) in ["total", "prefill", "decode_step", "transfer_share"]
+                    .iter()
+                    .zip(got.iter().zip(want))
+                {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{name}: {getter}({b})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn busy_overrun_is_a_finding_not_a_clamp() {
         // Regression: per-pipeline utilization was `.min(1.0)`-clamped,
@@ -2564,40 +2712,7 @@ mod tests {
 
     #[test]
     fn deadline_aware_queue_is_edf_ordered() {
-        let mut st = ClusterSt {
-            pipes: vec![Pipe::new(0)],
-            models: Vec::new(),
-            continuous: false,
-            scheduler: SchedulerKind::DeadlineAware,
-            admission: AdmissionPolicy::AcceptAll,
-            record: RecordMode::Full,
-            queue_delay: LatencyStats::full(),
-            e2e: LatencyStats::full(),
-            batch_sizes: Vec::new(),
-            last_completion: SimTime::ZERO,
-            slo_violations: 0,
-            met: 0,
-            attribution: Attribution::default(),
-            trace: None,
-            audit: Auditor::capture(),
-            arrivals: PoissonArrivals::new(1.0, 0),
-            deadliner: DeadlineAssigner::new(DeadlineSpec::None),
-            remaining: 0,
-            member_pool: Vec::new(),
-            channels: vec![req_channel(0)],
-            granularity: StepGranularity::default(),
-            next_vseq: 0,
-            events: 0,
-            arrival_pending: None,
-            arrival_span: None,
-            drain_span: None,
-        };
-        let t = SimTime::from_secs;
-        let req = |at: f64, d: Option<f64>| Req {
-            at: t(at),
-            admitted: t(at),
-            deadline: d.map(t),
-        };
+        let mut st = toy_cluster(StepGranularity::default(), SchedulerKind::DeadlineAware);
         push_request(&mut st, 0, req(0.0, None));
         push_request(&mut st, 0, req(1.0, Some(50.0)));
         push_request(&mut st, 0, req(2.0, Some(10.0)));
@@ -2623,7 +2738,9 @@ mod tests {
             tbtn: 2.0,
             xfer1: 0.5,
             xfern: 0.5,
+            prices: Vec::new(),
         }
+        .priced()
     }
 
     fn toy_cluster(granularity: StepGranularity, scheduler: SchedulerKind) -> ClusterSt {
@@ -2654,7 +2771,189 @@ mod tests {
             arrival_pending: None,
             arrival_span: None,
             drain_span: None,
+            finish: Vec::new(),
         }
+    }
+
+    /// Reference `modeled_finish`: the max owed by a full scan of the
+    /// active set.
+    fn oracle_finish(pipe: &Pipe, model: &ServiceModel, continuous: bool, now: SimTime) -> SimTime {
+        let mut t = pipe.free_at.max(now);
+        if continuous {
+            if let Some(owed) = pipe.active.iter().map(|(_, owed)| *owed).max() {
+                t += model.decode_step(pipe.active.len() as u32) * owed as f64;
+            }
+        }
+        let mut backlog = pipe.queue.len() + 1;
+        let cap = model.max_batch().max(1) as usize;
+        while backlog > 0 {
+            let b = backlog.min(cap);
+            t += model.total(b as u32);
+            backlog -= b;
+        }
+        t
+    }
+
+    /// Reference dispatch: prices every candidate pipe afresh on each
+    /// use, with no snapshot.
+    fn oracle_dispatch(st: &ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -> usize {
+        let finish = |pipe: &Pipe| oracle_finish(pipe, &st.models[pipe.model], st.continuous, now);
+        let least_finish = || {
+            st.pipes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, pipe)| finish(pipe))
+                .map_or(0, |(idx, _)| idx)
+        };
+        match st.scheduler {
+            SchedulerKind::RoundRobin => i % st.pipes.len(),
+            SchedulerKind::JoinShortestQueue => st
+                .pipes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, pipe)| pipe.load())
+                .map_or(0, |(idx, _)| idx),
+            SchedulerKind::LeastFinishTime => least_finish(),
+            SchedulerKind::DeadlineAware => deadline
+                .and_then(|d| {
+                    st.pipes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, pipe)| finish(pipe) <= d)
+                        .min_by_key(|(_, pipe)| {
+                            (
+                                std::cmp::Reverse(st.models[pipe.model].total(1)),
+                                finish(pipe),
+                            )
+                        })
+                        .map(|(idx, _)| idx)
+                })
+                .unwrap_or_else(least_finish),
+        }
+    }
+
+    /// Reference admission: prices the chosen pipe afresh.
+    fn oracle_admit(st: &ClusterSt, p: usize, req: &Req, now: SimTime) -> bool {
+        let pipe = &st.pipes[p];
+        match st.admission {
+            AdmissionPolicy::AcceptAll => true,
+            AdmissionPolicy::QueueCap(cap) => pipe.load() < cap,
+            AdmissionPolicy::DeadlineFeasible => match req.deadline {
+                None => true,
+                Some(d) => oracle_finish(pipe, &st.models[pipe.model], st.continuous, now) <= d,
+            },
+        }
+    }
+
+    /// A random cluster state: one to three replica models, up to six
+    /// pipes with random queues, in-flight counts, `free_at` instants
+    /// and active sets whose owed counts never decrease. Times and
+    /// prices sit on a coarse integer grid so finish-time ties (and
+    /// the lowest-index tie-break) come up often.
+    fn random_cluster(rng: &mut SimRng) -> ClusterSt {
+        let mut st = toy_cluster(StepGranularity::PerStep, SchedulerKind::RoundRobin);
+        let grid = |rng: &mut SimRng, hi: usize| rng.uniform_usize(0, hi) as f64;
+        st.models = (0..rng.uniform_usize(1, 3))
+            .map(|_| {
+                let max_batch = [1, 2, 4, 8, 44][rng.uniform_usize(0, 4)];
+                let t1 = 1.0 + grid(rng, 6);
+                let ttft1 = 1.0 + grid(rng, 3);
+                let tbt1 = 1.0 + grid(rng, 2);
+                ServiceModel {
+                    max_batch,
+                    gen_len: rng.uniform_usize(1, 8),
+                    t1,
+                    tn: t1 + grid(rng, 20),
+                    ttft1,
+                    ttftn: ttft1 + grid(rng, 6),
+                    tbt1,
+                    tbtn: tbt1 + grid(rng, 2),
+                    xfer1: 0.5,
+                    xfern: 0.5,
+                    prices: Vec::new(),
+                }
+                .priced()
+            })
+            .collect();
+        let n = rng.uniform_usize(1, 6);
+        st.pipes = (0..n)
+            .map(|_| {
+                let model = rng.uniform_usize(0, st.models.len() - 1);
+                let gen_len = st.models[model].gen_len();
+                let max_batch = st.models[model].max_batch() as usize;
+                let mut pipe = Pipe::new(model);
+                for _ in 0..rng.uniform_usize(0, 12) {
+                    pipe.queue.push_back(req(grid(rng, 50), None));
+                }
+                pipe.in_flight = rng.uniform_usize(0, max_batch);
+                pipe.free_at = SimTime::from_secs(grid(rng, 120));
+                let mut owed = 1;
+                for _ in 0..rng.uniform_usize(0, max_batch) {
+                    owed = rng.uniform_usize(owed, gen_len);
+                    pipe.active.push((req(0.0, None), owed));
+                }
+                pipe
+            })
+            .collect();
+        st.channels = (0..n).map(req_channel).collect();
+        st
+    }
+
+    fn req(at: f64, deadline: Option<f64>) -> Req {
+        let at = SimTime::from_secs(at);
+        Req {
+            at,
+            admitted: at,
+            deadline: deadline.map(SimTime::from_secs),
+        }
+    }
+
+    #[test]
+    fn finish_snapshot_matches_the_re_evaluating_oracle() {
+        let mut rng = SimRng::from_seed_and_stream(14, "finish-snapshot-oracle");
+        let schedulers = [
+            SchedulerKind::RoundRobin,
+            SchedulerKind::JoinShortestQueue,
+            SchedulerKind::LeastFinishTime,
+            SchedulerKind::DeadlineAware,
+        ];
+        let mut deadline_admit = [0usize; 2];
+        for case in 0..400 {
+            let mut st = random_cluster(&mut rng);
+            let now = SimTime::from_secs(rng.uniform_usize(0, 100) as f64);
+            let deadline = (rng.uniform_usize(0, 3) > 0)
+                .then(|| now.as_secs() + rng.uniform_usize(0, 300) as f64);
+            let arrival = req(now.as_secs(), deadline);
+            let i = rng.uniform_usize(0, 20);
+            let admissions = [
+                AdmissionPolicy::AcceptAll,
+                AdmissionPolicy::QueueCap(rng.uniform_usize(1, 12)),
+                AdmissionPolicy::DeadlineFeasible,
+            ];
+            for scheduler in schedulers {
+                for admission in admissions {
+                    for continuous in [false, true] {
+                        st.scheduler = scheduler;
+                        st.admission = admission;
+                        st.continuous = continuous;
+                        let want = oracle_dispatch(&st, i, arrival.deadline, now);
+                        let want_admit = oracle_admit(&st, want, &arrival, now);
+                        let got = dispatch(&mut st, i, arrival.deadline, now);
+                        let got_admit = admit(&st, got, &arrival, now);
+                        let label = format!(
+                            "case {case}: {scheduler} / {admission} / continuous={continuous}"
+                        );
+                        assert_eq!(got, want, "{label}: dispatch");
+                        assert_eq!(got_admit, want_admit, "{label}: admission");
+                        if admission == AdmissionPolicy::DeadlineFeasible && deadline.is_some() {
+                            deadline_admit[usize::from(got_admit)] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The deadline draws must exercise both admission outcomes.
+        assert!(deadline_admit.iter().all(|&n| n > 0), "{deadline_admit:?}");
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub struct SimDuration(f64);
 impl SimTime {
     /// The start of simulated time.
     pub const ZERO: SimTime = SimTime(0.0);
+    /// Sentinel for "never": compares later than every finite instant.
+    pub const INFINITY: SimTime = SimTime(f64::INFINITY);
 
     /// Creates an instant at `secs` seconds since simulation start.
     ///
@@ -378,6 +380,8 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
         assert!(SimDuration::ZERO < SimDuration::INFINITY);
+        assert!(b < SimTime::INFINITY);
+        assert_eq!(SimTime::INFINITY, SimTime::from_secs(f64::INFINITY));
     }
 
     #[test]
