@@ -2,6 +2,9 @@
 //! how fast the simulator itself serves a full request.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use helm_core::autoplace::{search, Objective, SearchBudget};
+use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
+use helm_core::exec_des::run_pipeline_des;
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -66,7 +69,19 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| s.run_unchecked(black_box(&workload)));
     });
     group.bench_function("des", |b| {
-        b.iter(|| s.run_des(black_box(&workload)).expect("fits"));
+        let placement = s.effective_placement(&workload);
+        let inputs = PipelineInputs {
+            system: s.system(),
+            model: s.model(),
+            policy: s.policy(),
+            placement: &placement,
+            workload: &workload,
+        };
+        b.iter(|| {
+            let inputs = black_box(&inputs);
+            let table = LayerCostTable::build(inputs).expect("tiers available");
+            run_pipeline_des(inputs, &table, RecordMode::Full).expect("des runs")
+        });
     });
     group.finish();
 
@@ -75,12 +90,13 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("latency-grid-search", |b| {
         let s = server(ModelConfig::opt_175b(), PlacementKind::Baseline, 1);
         b.iter(|| {
-            helm_core::autoplace::optimize(
+            search(
                 s.system(),
                 s.model(),
                 s.policy(),
                 black_box(&workload),
-                helm_core::autoplace::Objective::Latency,
+                Objective::Latency,
+                SearchBudget::default(),
             )
             .expect("search succeeds")
         });

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use bench::{print_table, section};
 use helm_core::autoplace::{search, search_in, Objective, SearchBudget, SearchSpace};
-use helm_core::exec::{run_pipeline, PipelineInputs};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -65,13 +65,15 @@ fn serial_coarse_reference(
             if !budget.fits(&costs, policy.effective_batch()) {
                 continue;
             }
-            let report = run_pipeline(&PipelineInputs {
+            let inputs = PipelineInputs {
                 system,
                 model,
                 policy,
                 placement: &placement,
                 workload,
-            })?;
+            };
+            let table = LayerCostTable::build(&inputs)?;
+            let report = run_pipeline(&inputs, &table, RecordMode::Full, None)?;
             evaluated += 1;
             if report.tbt_ms() < best_tbt {
                 best_tbt = report.tbt_ms();

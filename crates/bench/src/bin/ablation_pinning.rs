@@ -11,7 +11,7 @@
 //! the average: balance beats concentration.
 
 use bench::{print_table, run_serving, section};
-use helm_core::exec::{run_pipeline, PipelineInputs};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
 use helm_core::policy::Policy;
 use helm_core::system::SystemConfig;
@@ -68,13 +68,19 @@ fn main() -> Result<(), helm_core::HelmError> {
 
     section("serving OPT-175B (compressed, NVDRAM, batch 1)");
     let run = |placement: &ModelPlacement| {
-        run_pipeline(&PipelineInputs {
+        let inputs = PipelineInputs {
             system: &system,
             model: &model,
             policy: &policy,
             placement,
             workload: &workload,
-        })
+        };
+        run_pipeline(
+            &inputs,
+            &LayerCostTable::build(&inputs)?,
+            RecordMode::Full,
+            None,
+        )
     };
     let baseline = run_serving(
         model.clone(),

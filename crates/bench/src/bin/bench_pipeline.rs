@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use bench::{print_table, section};
 use helm_core::exec::{
-    run_pipeline_reference, run_pipeline_with, LayerCostTable, PipelineInputs, RecordMode,
+    run_pipeline, run_pipeline_reference, LayerCostTable, PipelineInputs, RecordMode,
 };
 use helm_core::placement::{ModelPlacement, Tier};
 use helm_core::policy::Policy;
@@ -142,13 +142,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let (full_sps, _) = time_variant(&inp, iters, |inp| {
         let table = LayerCostTable::build(inp)?;
-        Ok(run_pipeline_with(inp, &table, RecordMode::Full)?
+        Ok(run_pipeline(inp, &table, RecordMode::Full, None)?
             .records
             .len())
     })?;
     let (agg_sps, _) = time_variant(&inp, iters, |inp| {
         let table = LayerCostTable::build(inp)?;
-        Ok(run_pipeline_with(inp, &table, RecordMode::Aggregate)?
+        Ok(run_pipeline(inp, &table, RecordMode::Aggregate, None)?
             .totals
             .steps)
     })?;
@@ -172,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (fast_ms, fast_evals, fast_best) =
         coarse_sweep(&system, &model, &policy, &workload, |inp| {
             let table = LayerCostTable::build(inp)?;
-            Ok(run_pipeline_with(inp, &table, RecordMode::Aggregate)?.tbt_ms())
+            Ok(run_pipeline(inp, &table, RecordMode::Aggregate, None)?.tbt_ms())
         })?;
     let winner_unchanged = seed_evals == fast_evals && seed_best == fast_best;
     let sweep_speedup = seed_ms / fast_ms;

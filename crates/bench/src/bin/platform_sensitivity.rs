@@ -11,7 +11,7 @@
 
 use bench::{print_table, section};
 use gpusim::GpuSpec;
-use helm_core::exec::{run_pipeline, PipelineInputs};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -69,13 +69,15 @@ fn main() -> Result<(), helm_core::HelmError> {
                 .with_placement(kind)
                 .with_batch_size(1);
             let placement = ModelPlacement::compute(&model, &policy);
-            let report = run_pipeline(&PipelineInputs {
+            let inputs = PipelineInputs {
                 system: &sys,
                 model: &model,
                 policy: &policy,
                 placement: &placement,
                 workload: &workload,
-            })?;
+            };
+            let table = LayerCostTable::build(&inputs)?;
+            let report = run_pipeline(&inputs, &table, RecordMode::Full, None)?;
             tbt.push(report.tbt_ms());
         }
         rows.push((

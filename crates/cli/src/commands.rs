@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::select;
-use helm_core::autoplace::{Objective, SearchBudget};
+use helm_core::autoplace::{search, Objective, SearchBudget};
 use helm_core::energy::assess;
 use helm_core::online::{ClusterReport, ClusterSpec};
 use helm_core::policy::Policy;
@@ -112,11 +112,14 @@ fn session(args: &Args) -> Result<Session, ArgError> {
         .with_kv_offload(args.get_bool("kv-offload")?)
         .with_batch_size(get_size(args, "batch", 1u32)?)
         .with_gpu_batches(get_size(args, "gpu-batches", 1u32)?);
-    let workload = WorkloadSpec::new(
-        get_size(args, "prompt", 128usize)?,
-        get_size(args, "gen", 21usize)?,
-        1,
-    );
+    let prompt = get_size(args, "prompt", 128usize)?;
+    let gen = get_size(args, "gen", 21usize)?;
+    if prompt.checked_add(gen).is_none() {
+        return Err(ArgError(format!(
+            "--prompt {prompt} + --gen {gen} overflows the context length"
+        )));
+    }
+    let workload = WorkloadSpec::new(prompt, gen, 1);
     let server = Server::new(SystemConfig::paper_platform(memory), model, policy)
         .map_err(|e| ArgError(e.to_string()))?;
     Ok(Session { server, workload })
@@ -563,9 +566,15 @@ pub fn autoplace(args: &Args) -> Result<(), ArgError> {
         ..SearchBudget::default()
     };
     let Session { server, workload } = session(args)?;
-    let result = server
-        .autoplace(&workload, objective, budget)
-        .map_err(|e| ArgError(e.to_string()))?;
+    let result = search(
+        server.system(),
+        server.model(),
+        server.policy(),
+        &workload,
+        objective,
+        budget,
+    )
+    .map_err(|e| ArgError(e.to_string()))?;
     println!(
         "winner: MHA {}% / FFN {}% on GPU, batch {}",
         result.mha_gpu_percent, result.ffn_gpu_percent, result.batch
@@ -1117,6 +1126,89 @@ mod tests {
             assert!(serve(&zero).unwrap_err().to_string().contains(&dashed));
             assert!(maxbatch(&zero).unwrap_err().to_string().contains(&dashed));
         }
+        // A prompt + gen sum past `usize::MAX` used to wrap into a tiny
+        // context (or panic on capacity overflow); it is refused with
+        // an error naming both flags.
+        for flag in ["--prompt", "--gen"] {
+            let huge = parse(&[
+                "--model",
+                "opt-1.3b",
+                "--memory",
+                "dram",
+                "--placement",
+                "helm",
+                flag,
+                "18446744073709551615",
+            ]);
+            for err in [serve(&huge).unwrap_err(), energy(&huge).unwrap_err()] {
+                let err = err.to_string();
+                assert!(err.contains("--prompt") && err.contains("--gen"), "{err}");
+            }
+        }
+        // Replica counts the engine cannot hold are errors, not
+        // capacity-overflow panics.
+        for (flag, value) in [
+            ("--pipelines", "18446744073709551615"),
+            ("--mix", "helm:4x18446744073709551615"),
+            (
+                "--mix",
+                "helm:4x9223372036854775808,all-cpu:4x9223372036854775808",
+            ),
+        ] {
+            let huge = parse(&["--model", "opt-1.3b", "--memory", "dram", flag, value]);
+            let err = serve(&huge).unwrap_err().to_string();
+            assert!(err.contains("replica"), "{flag} {value}: {err}");
+        }
+    }
+
+    /// The first slice of the CLI input grid: every size flag at
+    /// `u64::MAX`, on every command that reads it, ends in `Ok` or an
+    /// `ArgError` — never a panic. (`--requests` and `--max-replicas`
+    /// are left out: at that size they are legitimately long runs.)
+    #[test]
+    fn size_flags_at_the_maximum_never_panic() {
+        const MAX: &str = "18446744073709551615";
+        type Command = fn(&Args) -> Result<(), ArgError>;
+        let base = ["--model", "opt-1.3b", "--memory", "dram", "--gen", "2"];
+        let plan_base = [
+            "--requests",
+            "20",
+            "--lambda",
+            "0.5",
+            "--slo-ms",
+            "60000",
+            "--max-replicas",
+            "2",
+        ];
+        let session_flags = ["--prompt", "--gen", "--batch", "--gpu-batches"];
+        let commands: [(&str, Command, &[&str]); 7] = [
+            ("serve", serve, &["--pipelines", "--mix"]),
+            ("maxbatch", maxbatch, &[]),
+            ("energy", energy, &[]),
+            ("explain", explain, &[]),
+            ("sweep", sweep, &[]),
+            ("autoplace", autoplace, &["--max-evals"]),
+            ("plan", plan, &["--probe-requests", "--max-evals"]),
+        ];
+        let mix = format!("helm:4x{MAX}");
+        let mut panicked = Vec::new();
+        for (name, command, own) in commands {
+            for &flag in session_flags.iter().chain(own) {
+                // The flag under test replaces the base's `--gen 2`.
+                let mut tokens = base[..if flag == "--gen" { 4 } else { 6 }].to_vec();
+                if name == "plan" {
+                    tokens.extend_from_slice(&plan_base);
+                }
+                tokens.extend([flag, if flag == "--mix" { &mix } else { MAX }]);
+                let args = parse(&tokens);
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| command(&args)));
+                if outcome.is_err() {
+                    panicked.push(format!("{name} {flag}"));
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "panicked: {panicked:?}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use crate::error::HelmError;
-use crate::exec::{run_pipeline_with, LayerCostTable, PipelineInputs, RecordMode};
+use crate::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use crate::metrics::RunReport;
 use crate::placement::{CustomPlacementTemplate, ModelPlacement, Tier};
 use crate::policy::Policy;
@@ -283,7 +283,7 @@ impl<'a> SearchEngine<'a> {
         // property the test suite pins down), so this cannot change
         // the winner. Not counted in `stats.evaluated`.
         let winner_policy = self.policy.clone().with_batch_size(winner.batch);
-        let report = run_pipeline_with(
+        let report = run_pipeline(
             &PipelineInputs {
                 system: self.system,
                 model: self.model,
@@ -293,6 +293,7 @@ impl<'a> SearchEngine<'a> {
             },
             &winner.table,
             RecordMode::Full,
+            None,
         )?;
         state.stats.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
         Ok(AutoPlacement {
@@ -517,7 +518,7 @@ impl<'a> SearchEngine<'a> {
         // TBT / throughput, so no candidate pays for per-step record
         // materialization.
         let result = LayerCostTable::build(&inputs).and_then(|table| {
-            run_pipeline_with(&inputs, &table, RecordMode::Aggregate).map(|report| (table, report))
+            run_pipeline(&inputs, &table, RecordMode::Aggregate, None).map(|report| (table, report))
         });
         match result {
             Ok((table, report)) => Outcome::Evaluated(Box::new(Evaluation {

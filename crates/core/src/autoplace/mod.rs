@@ -7,10 +7,10 @@
 //! simulator — rebuilt as a search engine fast enough to sit on the
 //! serving path rather than an offline sweep:
 //!
-//! * [`engine`] evaluates candidates on the calling thread in
+//! * the engine evaluates candidates on the calling thread in
 //!   bound-sorted fixed chunks, each checked against a pruning
 //!   threshold frozen at chunk launch and reduced in schedule order;
-//! * [`prune`] skips candidates whose analytical lower bound on
+//! * the prune layer skips candidates whose analytical lower bound on
 //!   decode-token time already loses to the incumbent — those never
 //!   pay for a pipeline run, and since the schedule is sorted
 //!   best-bound-first, one pruned candidate prunes the whole tail;
@@ -68,8 +68,10 @@ pub struct AutoPlacement {
     pub frontier: Frontier,
 }
 
-/// Grid-searches per-kind GPU shares for `objective` with the default
-/// [`SearchBudget`] (unlimited evaluations).
+/// Grid-searches per-kind GPU shares for `objective` under a
+/// [`SearchBudget`]: an optional cap on pipeline evaluations (the
+/// search returns its best-so-far when the cap truncates it).
+/// `SearchBudget::default()` is the unlimited search.
 ///
 /// The search keeps embeddings host-resident (they are a rounding
 /// error of the footprint) and storage unused (matching the paper's
@@ -79,31 +81,6 @@ pub struct AutoPlacement {
 ///
 /// Returns [`HelmError::CapacityExceeded`] when even the all-host
 /// candidate cannot fit (host tier too small for the model).
-pub fn optimize(
-    system: &SystemConfig,
-    model: &ModelConfig,
-    policy: &Policy,
-    workload: &WorkloadSpec,
-    objective: Objective,
-) -> Result<AutoPlacement, HelmError> {
-    search(
-        system,
-        model,
-        policy,
-        workload,
-        objective,
-        SearchBudget::default(),
-    )
-}
-
-/// [`optimize`] with an explicit [`SearchBudget`]: an optional cap on
-/// pipeline evaluations (the search returns its best-so-far when the
-/// cap truncates it).
-///
-/// # Errors
-///
-/// Returns [`HelmError::CapacityExceeded`] when no candidate is
-/// feasible (see [`optimize`]).
 pub fn search(
     system: &SystemConfig,
     model: &ModelConfig,
@@ -131,7 +108,7 @@ pub fn search(
 /// # Errors
 ///
 /// Returns [`HelmError::CapacityExceeded`] when no candidate is
-/// feasible (see [`optimize`]).
+/// feasible (see [`search`]).
 #[allow(clippy::too_many_arguments)]
 pub fn search_in(
     system: &SystemConfig,
@@ -164,7 +141,15 @@ mod tests {
     #[test]
     fn latency_search_matches_or_beats_helm() {
         let (system, model, policy, workload) = setup();
-        let auto = optimize(&system, &model, &policy, &workload, Objective::Latency).unwrap();
+        let auto = search(
+            &system,
+            &model,
+            &policy,
+            &workload,
+            Objective::Latency,
+            SearchBudget::default(),
+        )
+        .unwrap();
         let helm = Server::new(
             system.clone(),
             model,
@@ -190,7 +175,15 @@ mod tests {
         // The winning latency placement should put substantially more
         // of FFN on the GPU than the baseline's 0% (HeLM's insight).
         let (system, model, policy, workload) = setup();
-        let auto = optimize(&system, &model, &policy, &workload, Objective::Latency).unwrap();
+        let auto = search(
+            &system,
+            &model,
+            &policy,
+            &workload,
+            Objective::Latency,
+            SearchBudget::default(),
+        )
+        .unwrap();
         assert!(
             auto.ffn_gpu_percent >= 30.0,
             "FFN gpu share {}",
@@ -203,7 +196,15 @@ mod tests {
         // The throughput optimum trades GPU weight residency for
         // batch (All-CPU's insight): low GPU shares, big batch.
         let (system, model, policy, workload) = setup();
-        let auto = optimize(&system, &model, &policy, &workload, Objective::Throughput).unwrap();
+        let auto = search(
+            &system,
+            &model,
+            &policy,
+            &workload,
+            Objective::Throughput,
+            SearchBudget::default(),
+        )
+        .unwrap();
         assert!(auto.batch >= 40, "batch {}", auto.batch);
         let gpu_bytes = auto.placement.total_on(Tier::Gpu);
         assert!(
@@ -230,12 +231,13 @@ mod tests {
         let system = SystemConfig::paper_platform(HostMemoryConfig::dram());
         let model = ModelConfig::opt_175b();
         let policy = Policy::paper_default(&model, hetmem::MemoryConfigKind::Dram);
-        let err = optimize(
+        let err = search(
             &system,
             &model,
             &policy,
             &WorkloadSpec::paper_default(),
             Objective::Latency,
+            SearchBudget::default(),
         )
         .unwrap_err();
         assert!(matches!(err, HelmError::CapacityExceeded { .. }));
@@ -309,7 +311,15 @@ mod tests {
         .unwrap();
         let on_half = |v: f64| (v * 2.0) == (v * 2.0).round();
         assert!(on_half(fine.mha_gpu_percent) && on_half(fine.ffn_gpu_percent));
-        let coarse = optimize(&system, &model, &policy, &workload, Objective::Latency).unwrap();
+        let coarse = search(
+            &system,
+            &model,
+            &policy,
+            &workload,
+            Objective::Latency,
+            SearchBudget::default(),
+        )
+        .unwrap();
         assert!(fine.report.tbt_ms() <= coarse.report.tbt_ms() * (1.0 + 1e-12));
     }
 
@@ -318,7 +328,15 @@ mod tests {
         // The winner's shares sit on the 1% lattice but the search
         // never enumerates the 101x101 fine grid.
         let (system, model, policy, workload) = setup();
-        let auto = optimize(&system, &model, &policy, &workload, Objective::Latency).unwrap();
+        let auto = search(
+            &system,
+            &model,
+            &policy,
+            &workload,
+            Objective::Latency,
+            SearchBudget::default(),
+        )
+        .unwrap();
         let fine_grid_candidates = 101 * 101;
         assert!(
             auto.stats.evaluated + auto.stats.pruned < fine_grid_candidates,

@@ -182,7 +182,7 @@ pub(super) fn bound_dominated(objective: Objective, bound: f64, best: f64) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_pipeline;
+    use crate::exec::{run_pipeline, LayerCostTable, RecordMode};
     use crate::placement::{ModelPlacement, PlacementKind};
     use crate::policy::Policy;
     use hetmem::HostMemoryConfig;
@@ -209,7 +209,8 @@ mod tests {
             workload: &workload,
         };
         let ctx = BoundContext::new(&system, &model, &workload);
-        let report = run_pipeline(&inp).expect("pipeline runs");
+        let table = LayerCostTable::build(&inp).expect("table builds");
+        let report = run_pipeline(&inp, &table, RecordMode::Full, None).expect("pipeline runs");
         let floor = ctx
             .decode_token_floor(&inp, &BoundContext::sorted_decode_computes(&inp))
             .expect("tiers available");

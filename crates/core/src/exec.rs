@@ -139,8 +139,8 @@ pub(crate) struct WritebackCost {
 /// byte counts, per-layer DES weight flows, the KV write-back cost of
 /// each stage, and all decode compute except the attention GEMM —
 /// which is cached as coefficients of the context length
-/// ([`DecodeCompute`]). Both executors ([`run_pipeline_with`],
-/// [`crate::exec_des::run_pipeline_des_with`]) and the autoplace
+/// (`DecodeCompute`). Both executors ([`run_pipeline`],
+/// [`crate::exec_des::run_pipeline_des`]) and the autoplace
 /// bound ([`crate::autoplace`]) consume the same table.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
@@ -406,59 +406,25 @@ impl StepAttribution {
     }
 }
 
-/// Runs the full prefill + decode pipeline and reports metrics,
-/// keeping full step records. Builds a [`LayerCostTable`] internally;
-/// callers evaluating one configuration many times (or wanting
-/// [`RecordMode::Aggregate`]) should build the table once and call
-/// [`run_pipeline_with`].
-///
-/// # Errors
-///
-/// Returns [`HelmError::TierUnavailable`] if the placement routes
-/// traffic through a memory tier the platform does not provide.
-pub fn run_pipeline(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError> {
-    let table = LayerCostTable::build(inp)?;
-    run_pipeline_with(inp, &table, RecordMode::Full)
-}
-
-/// [`run_pipeline`] over a prebuilt [`LayerCostTable`] with an
-/// explicit [`RecordMode`] — the memoized hot path. Every reported
-/// aggregate (TTFT, TBT samples, total time, traffic totals, audit
-/// ledgers, attribution) is bit-identical to the seed evaluator
+/// Runs the full prefill + decode pipeline over a prebuilt
+/// [`LayerCostTable`] (see [`LayerCostTable::build`]) at the given
+/// [`RecordMode`] — the analytic executor's one entry point. Every
+/// reported aggregate (TTFT, TBT samples, total time, traffic totals,
+/// audit ledgers, attribution) is bit-identical to the seed evaluator
 /// ([`run_pipeline_reference`]); under [`RecordMode::Full`] the step
 /// records are too.
 ///
-/// # Errors
-///
-/// Returns [`HelmError::TierUnavailable`] as [`run_pipeline`] does.
-pub fn run_pipeline_with(
-    inp: &PipelineInputs<'_>,
-    table: &LayerCostTable,
-    mode: RecordMode,
-) -> Result<RunReport, HelmError> {
-    run_pipeline_inner(inp, table, mode, None)
-}
-
-/// [`run_pipeline_with`] that additionally collects the batch's span
-/// tree (the whole offline batch is one request track: fill →
-/// prefill → per-token decode, each step classified compute- or
+/// Handed a `trace` sink, the run also collects the batch's span tree
+/// (the whole offline batch is one request track: fill → prefill →
+/// per-token decode, each step classified compute- or
 /// transfer-bound). The returned report is byte-identical to the
 /// untraced run — spans travel on the side channel only.
 ///
 /// # Errors
 ///
-/// Returns [`HelmError::TierUnavailable`] as [`run_pipeline`] does.
-pub fn run_pipeline_traced(
-    inp: &PipelineInputs<'_>,
-    table: &LayerCostTable,
-    mode: RecordMode,
-) -> Result<(RunReport, Trace), HelmError> {
-    let mut trace = Trace::default();
-    let report = run_pipeline_inner(inp, table, mode, Some(&mut trace))?;
-    Ok((report, trace))
-}
-
-fn run_pipeline_inner(
+/// Returns [`HelmError::TierUnavailable`] if the placement routes
+/// traffic through a memory tier the platform does not provide.
+pub fn run_pipeline(
     inp: &PipelineInputs<'_>,
     table: &LayerCostTable,
     mode: RecordMode,
@@ -984,6 +950,10 @@ mod tests {
     use hetmem::HostMemoryConfig;
     use llm::ModelConfig;
 
+    fn run_full(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError> {
+        run_pipeline(inp, &LayerCostTable::build(inp)?, RecordMode::Full, None)
+    }
+
     fn inputs(
         memory: HostMemoryConfig,
         placement_kind: PlacementKind,
@@ -1007,7 +977,7 @@ mod tests {
     ) -> RunReport {
         let (system, model, policy, workload) = inputs(memory, kind, compressed, batch);
         let placement = ModelPlacement::compute(&model, &policy);
-        run_pipeline(&PipelineInputs {
+        run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &policy,
@@ -1111,7 +1081,7 @@ mod tests {
         let (system, model, policy, workload) =
             inputs(HostMemoryConfig::nvdram(), PlacementKind::AllCpu, true, 8);
         let placement = ModelPlacement::compute(&model, &policy);
-        let single = run_pipeline(&PipelineInputs {
+        let single = run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &policy,
@@ -1120,7 +1090,7 @@ mod tests {
         })
         .expect("single runs");
         let micro_policy = policy.clone().with_gpu_batches(4);
-        let micro = run_pipeline(&PipelineInputs {
+        let micro = run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &micro_policy,
@@ -1143,7 +1113,7 @@ mod tests {
         let resident_policy = policy.clone();
         let offload_policy = policy.with_kv_offload(true);
         let placement = ModelPlacement::compute(&model, &resident_policy);
-        let resident = run_pipeline(&PipelineInputs {
+        let resident = run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &resident_policy,
@@ -1151,7 +1121,7 @@ mod tests {
             workload: &workload,
         })
         .expect("resident runs");
-        let offload = run_pipeline(&PipelineInputs {
+        let offload = run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &offload_policy,

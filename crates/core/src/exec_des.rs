@@ -32,27 +32,17 @@ use simcore::units::{Bandwidth, ByteSize};
 use std::collections::BTreeMap;
 use xfer::link::CappedLink;
 
-/// Runs the pipeline on the discrete-event link models.
-///
-/// # Errors
-///
-/// Returns [`HelmError::TierUnavailable`] if the placement routes
-/// traffic through a memory tier the platform does not provide.
-pub fn run_pipeline_des(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError> {
-    let table = LayerCostTable::build(inp)?;
-    run_pipeline_des_with(inp, &table, RecordMode::Full)
-}
-
-/// [`run_pipeline_des`] over a prebuilt [`LayerCostTable`] with an
-/// explicit [`RecordMode`]: per-layer weight flows, compute, and
+/// Runs the pipeline on the discrete-event link models over a
+/// prebuilt [`LayerCostTable`] (see [`LayerCostTable::build`]) at the
+/// given [`RecordMode`]: per-layer weight flows, compute, and
 /// write-back costs come from the table; only the context-dependent
 /// KV inbound stream is priced live.
 ///
 /// # Errors
 ///
-/// Returns [`HelmError::TierUnavailable`] as [`run_pipeline_des`]
-/// does.
-pub fn run_pipeline_des_with(
+/// Returns [`HelmError::TierUnavailable`] if the placement routes
+/// traffic through a memory tier the platform does not provide.
+pub fn run_pipeline_des(
     inp: &PipelineInputs<'_>,
     table: &LayerCostTable,
     mode: RecordMode,
@@ -379,9 +369,10 @@ mod tests {
             placement: &p,
             workload: &workload,
         };
+        let table = LayerCostTable::build(&inputs).expect("table builds");
         (
-            run_pipeline(&inputs).expect("analytic runs"),
-            run_pipeline_des(&inputs).expect("des runs"),
+            run_pipeline(&inputs, &table, RecordMode::Full, None).expect("analytic runs"),
+            run_pipeline_des(&inputs, &table, RecordMode::Full).expect("des runs"),
         )
     }
 

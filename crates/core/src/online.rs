@@ -61,7 +61,6 @@ use simcore::rng::SimRng;
 use simcore::stats::{Accumulator, Reservoir, SeriesStats};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{time_ticks, TraceSpan};
-use simcore::QueueBackend;
 use std::collections::VecDeque;
 use workload::WorkloadSpec;
 
@@ -693,10 +692,6 @@ pub struct ClusterSpec {
     /// streaming summaries plus a bounded latency reservoir, so
     /// million-request runs stay allocation-bounded.
     pub record: RecordMode,
-    /// Event-scheduler backend of the underlying simulator. The
-    /// backends share one `(time, seq)` total order, so reports are
-    /// bit-identical either way; only speed differs.
-    pub backend: QueueBackend,
     /// Event granularity: coalesced macro-stepping (default) or one
     /// queue event per batch/step completion. Reports are
     /// byte-identical either way; only speed differs.
@@ -713,7 +708,6 @@ impl Default for ClusterSpec {
             admission: AdmissionPolicy::AcceptAll,
             deadlines: DeadlineSpec::None,
             record: RecordMode::Full,
-            backend: QueueBackend::default(),
             granularity: StepGranularity::default(),
         }
     }
@@ -760,13 +754,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn with_record(mut self, record: RecordMode) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Replaces the event-scheduler backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -935,7 +922,7 @@ pub struct ClusterReport {
     /// Aggregate critical-path attribution over all served requests:
     /// queue-bound vs compute-bound vs transfer-bound ticks, exact
     /// (`sum(buckets) == total` as a `u64` equality). Identical
-    /// across granularities, backends, and traced or untraced runs.
+    /// across granularities and traced or untraced runs.
     pub attribution: Attribution,
     /// Conservation audit, when auditing is enabled (debug builds or
     /// [`simaudit::force_enable`]).
@@ -1829,13 +1816,22 @@ pub fn run_cluster_mix_traced(
 }
 
 /// One calibrated model per group and `count` idle pipes bound to it.
+/// A replica total that overflows `usize` or cannot be allocated is an
+/// [`HelmError::InvalidConfig`], not a panic or an abort.
 fn replica_groups(
     groups: &[(&Server, usize)],
     workload: &WorkloadSpec,
     cache: &mut CalibrationCache,
 ) -> Result<(Vec<ServiceModel>, Vec<Pipe>), HelmError> {
-    let mut models = Vec::with_capacity(groups.len());
+    let total = groups
+        .iter()
+        .try_fold(0usize, |sum, (_, count)| sum.checked_add(*count))
+        .ok_or(HelmError::InvalidConfig("the replica counts overflow"))?;
     let mut pipes: Vec<Pipe> = Vec::new();
+    pipes
+        .try_reserve_exact(total)
+        .map_err(|_| HelmError::InvalidConfig("too many replicas to allocate"))?;
+    let mut models = Vec::with_capacity(groups.len());
     for (g, (server, count)) in groups.iter().enumerate() {
         models.push(cache.get_or_calibrate(server, workload)?);
         pipes.extend((0..*count).map(|_| Pipe::new(g)));
@@ -1941,38 +1937,35 @@ fn run_cluster_engine(
             LatencyStats::sampled(SimRng::from_seed_and_stream(0, "cluster-e2e")),
         ),
     };
-    let mut sim = Simulator::with_backend(
-        ClusterSt {
-            pipes,
-            models,
-            continuous: spec.continuous,
-            scheduler: spec.scheduler,
-            admission: spec.admission,
-            record: spec.record,
-            granularity: spec.granularity,
-            queue_delay,
-            e2e,
-            batch_sizes: Vec::new(),
-            last_completion: SimTime::ZERO,
-            slo_violations: 0,
-            met: 0,
-            attribution: Attribution::default(),
-            trace: trace_out.is_some().then(Trace::default),
-            audit: Auditor::capture(),
-            arrivals: arrivals.clone(),
-            deadliner: DeadlineAssigner::new(spec.deadlines),
-            remaining: num_requests,
-            member_pool: Vec::new(),
-            channels: (0..n).map(req_channel).collect(),
-            next_vseq: 0,
-            events: 0,
-            arrival_pending: None,
-            arrival_span: None,
-            drain_span: None,
-            finish: Vec::with_capacity(n),
-        },
-        spec.backend,
-    );
+    let mut sim = Simulator::new(ClusterSt {
+        pipes,
+        models,
+        continuous: spec.continuous,
+        scheduler: spec.scheduler,
+        admission: spec.admission,
+        record: spec.record,
+        granularity: spec.granularity,
+        queue_delay,
+        e2e,
+        batch_sizes: Vec::new(),
+        last_completion: SimTime::ZERO,
+        slo_violations: 0,
+        met: 0,
+        attribution: Attribution::default(),
+        trace: trace_out.is_some().then(Trace::default),
+        audit: Auditor::capture(),
+        arrivals: arrivals.clone(),
+        deadliner: DeadlineAssigner::new(spec.deadlines),
+        remaining: num_requests,
+        member_pool: Vec::new(),
+        channels: (0..n).map(req_channel).collect(),
+        next_vseq: 0,
+        events: 0,
+        arrival_pending: None,
+        arrival_span: None,
+        drain_span: None,
+        finish: Vec::with_capacity(n),
+    });
     // Both granularities route arrivals through one registered span
     // (no per-arrival closure allocation); coalesced mode adds the
     // terminal drain span that flushes in-flight work after the last
@@ -3231,41 +3224,6 @@ mod tests {
             agg.e2e_latency.percentile(95.0).unwrap().to_bits(),
             full.e2e_latency.percentile(95.0).unwrap().to_bits()
         );
-    }
-
-    #[test]
-    fn scheduler_backends_agree_on_cluster_reports() {
-        // Calendar queue vs binary heap: one (time, seq) total order,
-        // so the whole report — floats included — must match byte for
-        // byte in both recording modes.
-        let s = server(PlacementKind::AllCpu, 8);
-        let ws = WorkloadSpec::paper_default();
-        for record in [RecordMode::Full, RecordMode::Aggregate] {
-            let spec = ClusterSpec::default()
-                .with_scheduler(SchedulerKind::JoinShortestQueue)
-                .with_continuous(true)
-                .with_record(record);
-            let cal = run_cluster_mix_cached(
-                &[(&s, 2)],
-                &ws,
-                &mut PoissonArrivals::new(0.1, 71),
-                60,
-                spec,
-                &mut CalibrationCache::new(),
-            )
-            .unwrap();
-            let heap = run_cluster_mix_cached(
-                &[(&s, 2)],
-                &ws,
-                &mut PoissonArrivals::new(0.1, 71),
-                60,
-                spec.with_backend(QueueBackend::Heap),
-                &mut CalibrationCache::new(),
-            )
-            .unwrap();
-            assert_eq!(cal.events, heap.events, "{record:?}");
-            assert_eq!(format!("{cal:?}"), format!("{heap:?}"), "{record:?}");
-        }
     }
 
     #[test]

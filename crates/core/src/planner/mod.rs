@@ -2,7 +2,7 @@
 //! configuration that meets an attainment target.
 //!
 //! The paper's conclusion asks for a system that "automatically
-//! make[s] latency/throughput tradeoffs based on desired quality of
+//! make\[s\] latency/throughput tradeoffs based on desired quality of
 //! service requirements" (§VII). [`crate::autoplace`] answers half of
 //! that — the best `{placement, batch}` for one replica — and
 //! [`crate::online`] simulates the other half, a heterogeneous

@@ -1,10 +1,7 @@
 //! The high-level serving entry point.
 
 use crate::error::HelmError;
-use crate::exec::{
-    run_pipeline, run_pipeline_traced, run_pipeline_with, LayerCostTable, PipelineInputs,
-    RecordMode,
-};
+use crate::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use crate::metrics::RunReport;
 use crate::placement::{ModelPlacement, Tier};
 use crate::policy::Policy;
@@ -231,7 +228,10 @@ impl Server {
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_traced(&self, workload: &WorkloadSpec) -> Result<(RunReport, Trace), HelmError> {
         self.checked(workload, |inputs| {
-            run_pipeline_traced(inputs, &LayerCostTable::build(inputs)?, RecordMode::Full)
+            let mut trace = Trace::default();
+            let table = LayerCostTable::build(inputs)?;
+            let report = run_pipeline(inputs, &table, RecordMode::Full, Some(&mut trace))?;
+            Ok((report, trace))
         })
     }
 
@@ -244,21 +244,8 @@ impl Server {
         mode: RecordMode,
     ) -> Result<RunReport, HelmError> {
         self.checked(workload, |inputs| {
-            run_pipeline_with(inputs, &LayerCostTable::build(inputs)?, mode)
+            run_pipeline(inputs, &LayerCostTable::build(inputs)?, mode, None)
         })
-    }
-
-    /// Runs the serving pipeline on the discrete-event executor
-    /// ([`crate::exec_des`]): inbound streams water-fill the PCIe
-    /// link and KV write-backs ride the full-duplex return path
-    /// asynchronously. Agrees exactly with [`Server::run`] when
-    /// neither relaxation applies.
-    ///
-    /// # Errors
-    ///
-    /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
-    pub fn run_des(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        self.checked(workload, crate::exec_des::run_pipeline_des)
     }
 
     /// The prelude every checked run shares: reject a batch GPU
@@ -298,38 +285,18 @@ impl Server {
     /// traffic through a tier the platform does not provide.
     pub fn run_unchecked(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
         let placement = self.effective_placement(workload);
-        run_pipeline(&PipelineInputs {
+        let inputs = PipelineInputs {
             system: &self.system,
             model: &self.model,
             policy: &self.policy,
             placement: &placement,
             workload,
-        })
-    }
-
-    /// Searches per-kind GPU shares for the best placement under this
-    /// server's platform, model, and policy — the serving-time entry
-    /// to [`crate::autoplace`]. The server's own placement is the
-    /// starting policy; the search explores alternatives without
-    /// mutating the server.
-    ///
-    /// # Errors
-    ///
-    /// [`HelmError::CapacityExceeded`] when no candidate placement is
-    /// feasible (see [`crate::autoplace::optimize`]).
-    pub fn autoplace(
-        &self,
-        workload: &WorkloadSpec,
-        objective: crate::autoplace::Objective,
-        budget: crate::autoplace::SearchBudget,
-    ) -> Result<crate::autoplace::AutoPlacement, HelmError> {
-        crate::autoplace::search(
-            &self.system,
-            &self.model,
-            &self.policy,
-            workload,
-            objective,
-            budget,
+        };
+        run_pipeline(
+            &inputs,
+            &LayerCostTable::build(&inputs)?,
+            RecordMode::Full,
+            None,
         )
     }
 }

@@ -16,7 +16,7 @@
 //! panicking: the run stops at the faulting event and
 //! [`Simulator::run_checked`] surfaces the error.
 
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -25,9 +25,10 @@ type SpanEvent<S> = Box<dyn FnMut(&mut Context<S>, &mut S)>;
 
 /// Handle to a reusable span handler registered with
 /// [`Simulator::register_span`]. Arming it with
-/// [`Simulator::schedule_span_at`] / [`Context::schedule_span_at`] /
-/// [`Context::reschedule_at`] enqueues the id alone — no per-firing
-/// allocation.
+/// [`Simulator::schedule_span_at`] / [`Context::schedule_span_at`]
+/// enqueues the id alone — no per-firing allocation. A recurring
+/// activity keeps its own id in the simulation state to re-arm
+/// itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(usize);
 
@@ -47,7 +48,7 @@ pub enum SimError {
         now: SimTime,
     },
     /// The event queue handed back an event timestamped before the
-    /// clock — a broken queue-backend invariant.
+    /// clock — a broken event-queue invariant.
     ClockWentBackwards {
         /// The popped event's timestamp.
         at: SimTime,
@@ -95,7 +96,6 @@ enum Entry<S> {
 pub struct Context<S> {
     now: SimTime,
     pending: Vec<(SimTime, Entry<S>)>,
-    current_span: Option<SpanId>,
     fault: Option<SimError>,
 }
 
@@ -104,7 +104,6 @@ impl<S> fmt::Debug for Context<S> {
         f.debug_struct("Context")
             .field("now", &self.now)
             .field("pending", &self.pending.len())
-            .field("current_span", &self.current_span)
             .field("fault", &self.fault)
             .finish()
     }
@@ -156,19 +155,6 @@ impl<S> Context<S> {
         }
         self.pending.push((at, Entry::Span(span)));
     }
-
-    /// Re-arms the *currently executing* span at `at` — the
-    /// allocation-free way for a recurring activity to continue
-    /// itself. Outside a span handler this is a no-op recording an
-    /// [`SimError::UnknownSpan`] fault.
-    pub fn reschedule_at(&mut self, at: SimTime) {
-        match self.current_span {
-            Some(span) => self.schedule_span_at(at, span),
-            None => self.record_fault(SimError::UnknownSpan {
-                span: SpanId(usize::MAX),
-            }),
-        }
-    }
 }
 
 /// A discrete-event simulator over user state `S`.
@@ -189,20 +175,22 @@ impl<S> Context<S> {
 /// ```
 ///
 /// Drive a recurring activity through a span — one registration,
-/// zero allocations per firing:
+/// zero allocations per firing. The state carries the span's own id
+/// so the handler can re-arm itself:
 ///
 /// ```
-/// use simcore::{SimDuration, SimTime, Simulator};
+/// use simcore::{SimDuration, SimTime, Simulator, SpanId};
 ///
-/// let mut sim = Simulator::new(0u32);
-/// let tick = sim.register_span(|ctx, n: &mut u32| {
+/// let mut sim = Simulator::new((0u32, None::<SpanId>));
+/// let tick = sim.register_span(|ctx, (n, me): &mut (u32, Option<SpanId>)| {
 ///     *n += 1;
-///     if *n < 3 {
-///         ctx.reschedule_at(ctx.now() + SimDuration::from_secs(1.0));
+///     if let (true, Some(me)) = (*n < 3, *me) {
+///         ctx.schedule_span_at(ctx.now() + SimDuration::from_secs(1.0), me);
 ///     }
 /// });
+/// sim.state_mut().1 = Some(tick);
 /// sim.schedule_span_at(SimTime::from_secs(1.0), tick);
-/// assert_eq!(sim.run(), 3);
+/// assert_eq!(sim.run().0, 3);
 /// ```
 pub struct Simulator<S> {
     state: S,
@@ -231,30 +219,17 @@ impl<S: fmt::Debug> fmt::Debug for Simulator<S> {
 }
 
 impl<S> Simulator<S> {
-    /// Creates a simulator owning `state`, with the clock at zero, on
-    /// the default (calendar-queue) scheduler.
+    /// Creates a simulator owning `state`, with the clock at zero.
     pub fn new(state: S) -> Self {
-        Self::with_backend(state, QueueBackend::default())
-    }
-
-    /// Creates a simulator on an explicit scheduler backend. The
-    /// backends share one `(time, seq)` total order, so results are
-    /// bit-identical either way; the choice only affects speed.
-    pub fn with_backend(state: S, backend: QueueBackend) -> Self {
         Simulator {
             state,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             spans: Vec::new(),
             now: SimTime::ZERO,
             fired: 0,
             fault: None,
             spare: Vec::new(),
         }
-    }
-
-    /// The scheduler backend this simulator runs on.
-    pub fn backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Current simulated time.
@@ -359,8 +334,8 @@ impl<S> Simulator<S> {
             return;
         }
         while let Some((time, entry)) = self.queue.pop_before(horizon) {
-            // Monotonicity is a structural invariant of the queue
-            // backends; a violation is a fault, not a panic.
+            // Monotonicity is a structural invariant of the event
+            // queue; a violation is a fault, not a panic.
             if time < self.now {
                 self.fault = Some(SimError::ClockWentBackwards {
                     at: time,
@@ -373,14 +348,12 @@ impl<S> Simulator<S> {
             let mut ctx = Context {
                 now: time,
                 pending: std::mem::take(&mut self.spare),
-                current_span: None,
                 fault: None,
             };
             match entry {
                 Entry::Once(event) => event(&mut ctx, &mut self.state),
                 Entry::Span(span) => match self.spans.get_mut(span.0).and_then(Option::take) {
                     Some(mut event) => {
-                        ctx.current_span = Some(span);
                         event(&mut ctx, &mut self.state);
                         self.spans[span.0] = Some(event);
                     }
@@ -514,15 +487,17 @@ mod tests {
 
     #[test]
     fn span_rearms_without_allocation() {
-        let mut sim = Simulator::new(Vec::new());
-        let tick = sim.register_span(|ctx, log: &mut Vec<f64>| {
+        type Log = (Vec<f64>, Option<SpanId>);
+        let mut sim = Simulator::new((Vec::new(), None));
+        let tick = sim.register_span(|ctx, (log, me): &mut Log| {
             log.push(ctx.now().as_secs());
-            if log.len() < 4 {
-                ctx.reschedule_at(ctx.now() + SimDuration::from_secs(0.5));
+            if let (true, Some(me)) = (log.len() < 4, *me) {
+                ctx.schedule_span_at(ctx.now() + SimDuration::from_secs(0.5), me);
             }
         });
+        sim.state_mut().1 = Some(tick);
         sim.schedule_span_at(SimTime::from_secs(1.0), tick);
-        assert_eq!(sim.run(), vec![1.0, 1.5, 2.0, 2.5]);
+        assert_eq!(sim.run().0, vec![1.0, 1.5, 2.0, 2.5]);
     }
 
     #[test]
@@ -557,16 +532,6 @@ mod tests {
 
         let mut sim = Simulator::new(());
         sim.schedule_span_at(SimTime::from_secs(1.0), foreign);
-        let err = sim.run_checked().unwrap_err();
-        assert!(matches!(err, SimError::UnknownSpan { .. }));
-    }
-
-    #[test]
-    fn reschedule_outside_a_span_is_a_typed_fault() {
-        let mut sim = Simulator::new(());
-        sim.schedule_in(SimDuration::from_secs(1.0), |ctx, _| {
-            ctx.reschedule_at(SimTime::from_secs(2.0));
-        });
         let err = sim.run_checked().unwrap_err();
         assert!(matches!(err, SimError::UnknownSpan { .. }));
     }

@@ -6,14 +6,13 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — simulated wall-clock time with
 //!   total ordering and convenient unit constructors.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped
+//! * [`EventQueue`] — a deterministic calendar queue of timestamped
 //!   events (FIFO among equal timestamps).
 //! * [`Simulator`] — a closure-driven discrete-event executor.
-//! * [`FlowScheduler`] — an analytic processor-sharing model of a
-//!   bandwidth-limited resource (a PCIe link, a memory channel) serving
-//!   concurrent flows.
 //! * [`stats`] — statistic accumulators implementing the paper's
 //!   "arithmetic mean discarding the first sample" metric rule.
+//! * [`trace`] — span trees on an integer tick lattice.
+//! * [`units`] — typed byte sizes, bandwidths and compute rates.
 //! * [`rng`] — deterministic, splittable random-number helpers.
 //!
 //! # Examples
@@ -32,7 +31,6 @@
 
 pub mod audit;
 pub mod engine;
-pub mod flow;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -41,8 +39,7 @@ pub mod trace;
 pub mod units;
 
 pub use engine::{SimError, Simulator, SpanId};
-pub use flow::{FlowId, FlowScheduler};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use stats::{Accumulator, Reservoir, SeriesStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{NestingError, TraceSpan};

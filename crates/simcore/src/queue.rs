@@ -4,38 +4,21 @@
 //! same instant pop in insertion order. Determinism matters: the whole
 //! workspace relies on bit-identical replays for regression tests.
 //!
-//! Two interchangeable backends implement that total order:
-//!
-//! * [`QueueBackend::Calendar`] (the default) — a calendar queue
-//!   (R. Brown, CACM 1988): events hash into `buckets` by truncated
-//!   `time / width`, the pop cursor walks the current "year" and each
-//!   bucket keeps its entries `(time, seq)`-sorted. Amortized O(1)
-//!   push/pop when the bucket width tracks the mean event spacing,
-//!   which a full resize-and-recalibrate pass maintains as the queue
-//!   grows and shrinks. This is what lets the DES sustain millions of
-//!   scheduled events per run.
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap` wrapper,
-//!   O(log n) per op. Kept as the reference fallback; the two backends
-//!   are proven pop-identical by the tests below and by the
-//!   scheduler-equivalence property suite.
+//! The queue is a calendar queue (R. Brown, CACM 1988): events hash
+//! into `buckets` by truncated `time / width`, the pop cursor walks
+//! the current "year" and each bucket keeps its entries
+//! `(time, seq)`-sorted. Amortized O(1) push/pop when the bucket width
+//! tracks the mean event spacing, which a full resize-and-recalibrate
+//! pass maintains as the queue grows and shrinks. This is what lets
+//! the DES sustain millions of scheduled events per run.
 //!
 //! Because `(time, seq)` is a total order with unique `seq`, *any*
-//! correct priority queue yields the same pop sequence — switching
-//! backends can never change a simulation result, only its speed.
+//! correct priority queue yields the same pop sequence. The tests
+//! below and the scheduler-equivalence property suite hold the
+//! calendar to a plain `std::collections::BinaryHeap` oracle.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Which scheduling structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Bucketed calendar queue — amortized O(1), the default.
-    #[default]
-    Calendar,
-    /// Plain binary heap — O(log n) reference implementation.
-    Heap,
-}
+use std::collections::VecDeque;
 
 /// A timestamped FIFO-stable priority queue of events.
 ///
@@ -53,44 +36,8 @@ pub enum QueueBackend {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    cal: Calendar<E>,
     seq: u64,
-}
-
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (then lowest seq)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Smallest bucket count; the array doubles/halves between this and
@@ -291,25 +238,11 @@ impl<E> Calendar<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (calendar) backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let backend = match backend {
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueBackend::Calendar => Backend::Calendar(Calendar::new()),
-        };
-        EventQueue { backend, seq: 0 }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Calendar(_) => QueueBackend::Calendar,
+        EventQueue {
+            cal: Calendar::new(),
+            seq: 0,
         }
     }
 
@@ -317,50 +250,29 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Entry { time, seq, event }),
-            Backend::Calendar(cal) => cal.push(time, seq, event),
-        }
+        self.cal.push(time, seq, event);
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.event)),
-            Backend::Calendar(cal) => cal.pop_min(None),
-        }
+        self.cal.pop_min(None)
     }
 
     /// Removes and returns the earliest event if it fires at or before
     /// `horizon`; leaves the queue untouched otherwise. One call
     /// replaces the peek-then-pop pair in the executor's hot loop.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_some_and(|e| e.time <= horizon) {
-                    heap.pop().map(|e| (e.time, e.event))
-                } else {
-                    None
-                }
-            }
-            Backend::Calendar(cal) => cal.pop_min(Some(horizon)),
-        }
+        self.cal.pop_min(Some(horizon))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-            Backend::Calendar(cal) => cal.peek_time(),
-        }
+        self.cal.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.count,
-        }
+        self.cal.count
     }
 
     /// Whether no events are pending.
@@ -378,56 +290,47 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn backends() -> [QueueBackend; 2] {
-        [QueueBackend::Calendar, QueueBackend::Heap]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for &s in &[3.0, 1.0, 2.0] {
-                q.push(t(s), s as u32);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3], "{backend:?}");
+        let mut q = EventQueue::new();
+        for &s in &[3.0, 1.0, 2.0] {
+            q.push(t(s), s as u32);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_are_fifo() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.push(t(1.0), i);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(1.0), i);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_matches_pop() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(t(5.0), ());
-            q.push(t(4.0), ());
-            assert_eq!(q.peek_time(), Some(t(4.0)), "{backend:?}");
-            assert_eq!(q.pop().unwrap().0, t(4.0), "{backend:?}");
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(t(5.0), ());
+        q.push(t(4.0), ());
+        assert_eq!(q.peek_time(), Some(t(4.0)));
+        assert_eq!(q.pop().unwrap().0, t(4.0));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn empty_queue_behaviour() {
         let mut q = EventQueue::<()>::default();
-        assert_eq!(q.backend(), QueueBackend::Calendar);
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
@@ -435,32 +338,32 @@ mod tests {
 
     #[test]
     fn pop_before_respects_horizon() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(t(1.0), "a");
-            q.push(t(3.0), "b");
-            assert_eq!(q.pop_before(t(2.0)).map(|(_, e)| e), Some("a"));
-            assert_eq!(q.pop_before(t(2.0)), None, "{backend:?}");
-            assert_eq!(q.len(), 1, "refused pop must not consume");
-            assert_eq!(q.pop_before(t(3.0)).map(|(_, e)| e), Some("b"));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(t(1.0), "a");
+        q.push(t(3.0), "b");
+        assert_eq!(q.pop_before(t(2.0)).map(|(_, e)| e), Some("a"));
+        assert_eq!(q.pop_before(t(2.0)), None);
+        assert_eq!(q.len(), 1, "refused pop must not consume");
+        assert_eq!(q.pop_before(t(3.0)).map(|(_, e)| e), Some("b"));
+        assert!(q.is_empty());
     }
 
     /// A mixed interleaving of pushes and pops — enough volume to force
     /// several calendar resizes in both directions — must pop in the
-    /// exact order the heap backend does.
+    /// exact order a `BinaryHeap` oracle keyed on `(time, seq)` does.
     #[test]
     fn backends_pop_identically_under_churn() {
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+        let mut cal = EventQueue::new();
+        let mut heap = BinaryHeap::new();
         // Deterministic pseudo-random schedule: LCG times, batches of
         // pushes separated by partial drains, plus exact ties and a
-        // far-future sentinel.
+        // far-future sentinel. The id doubles as the oracle's `seq`.
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut id = 0u32;
         let mut popped_cal = Vec::new();
         let mut popped_heap = Vec::new();
+        let oracle_pop =
+            |heap: &mut BinaryHeap<Reverse<(SimTime, u32)>>| heap.pop().map(|Reverse(entry)| entry);
         for round in 0..40 {
             for _ in 0..50 {
                 x = x
@@ -469,24 +372,24 @@ mod tests {
                 let secs = (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0;
                 let time = t(if round % 7 == 0 { secs.floor() } else { secs });
                 cal.push(time, id);
-                heap.push(time, id);
+                heap.push(Reverse((time, id)));
                 id += 1;
             }
             if round == 5 {
                 let far = t(f64::MAX);
                 cal.push(far, id);
-                heap.push(far, id);
+                heap.push(Reverse((far, id)));
                 id += 1;
             }
             for _ in 0..30 {
                 popped_cal.push(cal.pop());
-                popped_heap.push(heap.pop());
+                popped_heap.push(oracle_pop(&mut heap));
             }
         }
         while let Some(p) = cal.pop() {
             popped_cal.push(Some(p));
         }
-        while let Some(p) = heap.pop() {
+        while let Some(p) = oracle_pop(&mut heap) {
             popped_heap.push(Some(p));
         }
         assert_eq!(popped_cal, popped_heap);
@@ -497,7 +400,7 @@ mod tests {
     /// event is many empty years ahead, without losing order.
     #[test]
     fn sparse_far_future_events_pop_in_order() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         q.push(t(0.25), 0u32);
         q.push(t(1e9), 1);
         q.push(t(1e12), 2);
@@ -510,7 +413,7 @@ mod tests {
     /// array back down and keep popping correctly.
     #[test]
     fn growth_and_shrink_round_trip() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         let n = 10_000u32;
         for i in 0..n {
             q.push(t(f64::from(i % 97) * 0.5), i);

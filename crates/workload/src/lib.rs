@@ -49,9 +49,14 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if the context length
+    /// `prompt_len + gen_len` overflows `usize`.
     pub fn new(prompt_len: usize, gen_len: usize, repeats: usize) -> Self {
         assert!(prompt_len > 0 && gen_len > 0 && repeats > 0);
+        assert!(
+            prompt_len.checked_add(gen_len).is_some(),
+            "context length {prompt_len} + {gen_len} overflows usize"
+        );
         WorkloadSpec {
             prompt_len,
             gen_len,
@@ -134,6 +139,12 @@ mod tests {
         assert_eq!(spec.context_len(), 149);
         assert_eq!(spec.repeats, 10);
         assert_eq!(spec.tokens_generated(44), 44 * 21);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn overflowing_context_length_is_rejected() {
+        let _ = WorkloadSpec::new(usize::MAX, 21, 1);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! These tests run the real `Server` pipeline, so they double as a
 //! regression net for the audit wiring in `exec.rs` / `exec_des.rs`.
 
+use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
+use helm_core::exec_des::run_pipeline_des;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -41,7 +43,16 @@ fn run_pair(kind: PlacementKind) -> (RunReport, RunReport, ByteSize) {
     .expect("paper config fits");
     let ws = WorkloadSpec::paper_default();
     let analytic = server.run(&ws).expect("analytic run");
-    let des = server.run_des(&ws).expect("des run");
+    let placement = server.effective_placement(&ws);
+    let inputs = PipelineInputs {
+        system: server.system(),
+        model: server.model(),
+        policy: server.policy(),
+        placement: &placement,
+        workload: &ws,
+    };
+    let table = LayerCostTable::build(&inputs).expect("tiers available");
+    let des = run_pipeline_des(&inputs, &table, RecordMode::Full).expect("des run");
     (analytic, des, fill)
 }
 

@@ -5,7 +5,7 @@
 
 use gpusim::{MemoryBudget, ResidentCosts};
 use helm_core::autoplace::{search, AutoPlacement, Objective, SearchBudget};
-use helm_core::exec::{run_pipeline, PipelineInputs};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::system::SystemConfig;
@@ -158,14 +158,15 @@ fn cost_candidate(
         }
     };
     let candidate_policy = policy.clone().with_batch_size(batch);
-    let report = run_pipeline(&PipelineInputs {
+    let inputs = PipelineInputs {
         system,
         model,
         policy: &candidate_policy,
         placement: &placement,
         workload,
-    })
-    .expect("candidate runs");
+    };
+    let table = LayerCostTable::build(&inputs).expect("candidate tiers available");
+    let report = run_pipeline(&inputs, &table, RecordMode::Full, None).expect("candidate runs");
     Some((report.tbt_ms(), report.throughput_tps()))
 }
 

@@ -4,9 +4,10 @@
 //! never a panic, never a NaN smuggled into a report field.
 //!
 //! Each test here is a regression pin for one edge that used to (or
-//! plausibly could) assert or divide by zero: an empty cluster mix, a
-//! plan space with nothing to search, a zero-request probe, a
-//! zero-request serve, and a zero-capacity latency reservoir.
+//! plausibly could) assert, overflow or divide by zero: an empty
+//! cluster mix, a replica count too large to allocate, a plan space
+//! with nothing to search, a zero-request probe, a zero-request
+//! serve, and a zero-capacity latency reservoir.
 
 use helm_core::error::HelmError;
 use helm_core::online::{
@@ -53,6 +54,32 @@ fn empty_cluster_mix_is_a_typed_error() {
         &mut CalibrationCache::new(),
     );
     assert_invalid_config(result, "empty mix");
+}
+
+/// A replica count the engine cannot hold is a typed error, not a
+/// capacity-overflow panic: one group of `usize::MAX` replicas, and two
+/// groups whose counts overflow only when summed.
+#[test]
+fn huge_replica_counts_are_typed_errors() {
+    let server = small_server();
+    let workload = WorkloadSpec::new(32, 3, 1);
+    let half = usize::MAX / 2 + 1;
+    let mixes: [&[(&Server, usize)]; 2] = [
+        &[(&server, usize::MAX)],
+        &[(&server, half), (&server, half)],
+    ];
+    for groups in mixes {
+        let mut arrivals = PoissonArrivals::new(1.0, 7);
+        let result = run_cluster_mix_cached(
+            groups,
+            &workload,
+            &mut arrivals,
+            10,
+            ClusterSpec::default(),
+            &mut CalibrationCache::new(),
+        );
+        assert_invalid_config(result, "huge replica count");
+    }
 }
 
 /// Every degenerate plan input comes back as `InvalidConfig`: an

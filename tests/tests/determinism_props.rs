@@ -10,7 +10,7 @@
 //! feeding a float sum) shows up as a diff here long before it would
 //! corrupt a paper figure.
 
-use helm_core::exec::{PipelineInputs, RecordMode};
+use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::exec_des::run_pipeline_des;
 use helm_core::online::{
     run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals,
@@ -23,7 +23,6 @@ use helm_core::system::SystemConfig;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use proptest::prelude::*;
-use simcore::queue::QueueBackend;
 use workload::WorkloadSpec;
 
 const REPEATS: usize = 3;
@@ -31,7 +30,8 @@ const REPEATS: usize = 3;
 /// Renders the complete report — every field, including the audit
 /// ledgers — into a canonical byte string.
 fn report_bytes(inp: &PipelineInputs<'_>) -> String {
-    let report = run_pipeline_des(inp).expect("pipeline runs");
+    let table = LayerCostTable::build(inp).expect("table builds");
+    let report = run_pipeline_des(inp, &table, RecordMode::Full).expect("pipeline runs");
     // Debug builds always audit; a silently missing ledger would make
     // this test vacuous for the channel-conservation half.
     assert!(report.audit.is_some(), "audit ledgers absent in debug run");
@@ -88,11 +88,10 @@ fn des_reports_are_byte_identical_across_repeated_runs() {
 
 /// Determinism at production scale: a 100 000-request mixed-cluster
 /// run must render the *entire* `ClusterReport` byte-identically
-/// across repeated runs, and the calendar-queue scheduler must match
-/// the binary-heap scheduler byte for byte — in both recording
-/// modes. This is the scale the calendar queue and the pooled
-/// event/request state exist for; any pop-order or accumulation-order
-/// drift they introduced would surface here as a diff.
+/// across repeated runs, in both recording modes. This is the scale
+/// the calendar queue and the pooled event/request state exist for;
+/// any pop-order or accumulation-order drift they introduced would
+/// surface here as a diff.
 #[test]
 fn cluster_reports_byte_identical_at_1e5_requests() {
     let model = ModelConfig::opt_175b();
@@ -117,11 +116,10 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
     .expect("all-cpu server");
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 2)];
     for record in [RecordMode::Full, RecordMode::Aggregate] {
-        let run = |backend: QueueBackend| {
+        let run = || {
             let spec = ClusterSpec::default()
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
-                .with_record(record)
-                .with_backend(backend);
+                .with_record(record);
             // A fresh arrival process per run: identical draws, so any
             // report diff comes from the engine, not the workload.
             let mut arrivals = PoissonArrivals::new(2.0, 97);
@@ -137,17 +135,7 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
             assert!(report.audit.is_some(), "audit ledgers absent in debug run");
             format!("{report:?}")
         };
-        let first = run(QueueBackend::Calendar);
-        assert_eq!(
-            first,
-            run(QueueBackend::Calendar),
-            "repeated cluster run diverged ({record:?})"
-        );
-        assert_eq!(
-            first,
-            run(QueueBackend::Heap),
-            "calendar and heap schedulers diverged ({record:?})"
-        );
+        assert_eq!(run(), run(), "repeated cluster run diverged ({record:?})");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Golden-equivalence suite for the cost-table evaluator: the fast
-//! path (`LayerCostTable` + `run_pipeline_with`) must reproduce the
+//! path (`LayerCostTable` + `run_pipeline`) must reproduce the
 //! seed evaluator (`run_pipeline_reference`) *bit for bit* — same
 //! TTFT, same per-token TBT samples, same step records, same audit
 //! ledgers — and `RecordMode::Aggregate` must change nothing except
@@ -8,10 +8,9 @@
 //! objective values mean an identical winner.
 
 use helm_core::exec::{
-    run_pipeline, run_pipeline_reference, run_pipeline_with, LayerCostTable, PipelineInputs,
-    RecordMode,
+    run_pipeline, run_pipeline_reference, LayerCostTable, PipelineInputs, RecordMode,
 };
-use helm_core::exec_des::{run_pipeline_des, run_pipeline_des_with};
+use helm_core::exec_des::run_pipeline_des;
 use helm_core::metrics::RunReport;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
@@ -124,7 +123,8 @@ proptest! {
         let workload = WorkloadSpec::new(32, gen_len, 1);
         let inp = inputs_for(&system, &model, &policy, &placement, &workload);
         let seed = run_pipeline_reference(&inp).unwrap();
-        let fast = run_pipeline(&inp).unwrap();
+        let table = LayerCostTable::build(&inp).unwrap();
+        let fast = run_pipeline(&inp, &table, RecordMode::Full, None).unwrap();
         assert_aggregates_bitwise(&seed, &fast);
         prop_assert_eq!(&seed.records, &fast.records);
     }
@@ -144,19 +144,20 @@ proptest! {
         let inp = inputs_for(&system, &model, &policy, &placement, &workload);
         let table = LayerCostTable::build(&inp).unwrap();
 
-        let full = run_pipeline_with(&inp, &table, RecordMode::Full).unwrap();
-        let agg = run_pipeline_with(&inp, &table, RecordMode::Aggregate).unwrap();
+        let full = run_pipeline(&inp, &table, RecordMode::Full, None).unwrap();
+        let agg = run_pipeline(&inp, &table, RecordMode::Aggregate, None).unwrap();
         assert_aggregates_bitwise(&full, &agg);
         prop_assert!(agg.records.is_empty());
         prop_assert_eq!(full.records.len(), agg.totals.steps);
 
-        let des_full = run_pipeline_des_with(&inp, &table, RecordMode::Full).unwrap();
-        let des_agg = run_pipeline_des_with(&inp, &table, RecordMode::Aggregate).unwrap();
+        let des_full = run_pipeline_des(&inp, &table, RecordMode::Full).unwrap();
+        let des_agg = run_pipeline_des(&inp, &table, RecordMode::Aggregate).unwrap();
         assert_aggregates_bitwise(&des_full, &des_agg);
         prop_assert!(des_agg.records.is_empty());
 
-        // The des entry point is the same computation.
-        let des = run_pipeline_des(&inp).unwrap();
+        // A freshly built table is the same computation.
+        let fresh = LayerCostTable::build(&inp).unwrap();
+        let des = run_pipeline_des(&inp, &fresh, RecordMode::Full).unwrap();
         assert_aggregates_bitwise(&des, &des_full);
     }
 }
@@ -216,7 +217,8 @@ fn paper_configs_match_reference_bitwise() {
         let placement = ModelPlacement::compute(&model, &policy);
         let inp = inputs_for(&system, &model, &policy, &placement, &workload);
         let seed = run_pipeline_reference(&inp).unwrap();
-        let fast = run_pipeline(&inp).unwrap();
+        let table = LayerCostTable::build(&inp).unwrap();
+        let fast = run_pipeline(&inp, &table, RecordMode::Full, None).unwrap();
         assert_aggregates_bitwise(&seed, &fast);
         assert_eq!(seed.records, fast.records, "{kind:?} kv={kv_offload}");
     }
@@ -247,7 +249,7 @@ fn coarse_sweep_winner_unchanged() {
         let inp = inputs_for(&system, &model, &base, &placement, &workload);
         let seed = run_pipeline_reference(&inp).unwrap();
         let table = LayerCostTable::build(&inp).unwrap();
-        let fast = run_pipeline_with(&inp, &table, RecordMode::Aggregate).unwrap();
+        let fast = run_pipeline(&inp, &table, RecordMode::Aggregate, None).unwrap();
         assert_eq!(
             seed.tbt_ms().to_bits(),
             fast.tbt_ms().to_bits(),

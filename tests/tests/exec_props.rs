@@ -3,15 +3,22 @@
 //! discrete-event executors, over randomized small models and
 //! policies.
 
-use helm_core::exec::{run_pipeline, PipelineInputs, SYNC_OVERHEAD};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode, SYNC_OVERHEAD};
 use helm_core::exec_des::run_pipeline_des;
+use helm_core::metrics::RunReport;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::system::SystemConfig;
+use helm_core::HelmError;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use proptest::prelude::*;
 use workload::WorkloadSpec;
+
+/// The analytic executor with full step records, on a fresh table.
+fn run_full(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError> {
+    run_pipeline(inp, &LayerCostTable::build(inp)?, RecordMode::Full, None)
+}
 
 fn small_model() -> impl Strategy<Value = ModelConfig> {
     (1usize..=6, 1usize..=4).prop_map(|(heads, blocks)| {
@@ -68,7 +75,7 @@ proptest! {
         let system = SystemConfig::paper_platform(memory);
         let placement = ModelPlacement::compute(&model, &policy);
         let workload = WorkloadSpec::new(32, gen_len, 1);
-        let report = run_pipeline(&PipelineInputs {
+        let report = run_full(&PipelineInputs {
             system: &system,
             model: &model,
             policy: &policy,
@@ -121,8 +128,9 @@ proptest! {
             placement: &placement,
             workload: &workload,
         };
-        let analytic = run_pipeline(&inputs).unwrap();
-        let des = run_pipeline_des(&inputs).unwrap();
+        let analytic = run_full(&inputs).unwrap();
+        let table = LayerCostTable::build(&inputs).unwrap();
+        let des = run_pipeline_des(&inputs, &table, RecordMode::Full).unwrap();
         prop_assert!(
             des.total_time.as_secs() <= analytic.total_time.as_secs() * (1.0 + 1e-9),
             "DES {} > analytic {}",
@@ -156,7 +164,7 @@ proptest! {
                 1,
             );
             let placement = ModelPlacement::compute(&model, &policy);
-            let report = run_pipeline(&PipelineInputs {
+            let report = run_full(&PipelineInputs {
                 system: &system,
                 model: &model,
                 policy: &policy,

@@ -93,12 +93,13 @@ fn autoplace_adapts_to_degradation() {
     let policy = Policy::paper_default(&model, memory.kind())
         .with_compression(true)
         .with_batch_size(1);
-    let auto = helm_core::autoplace::optimize(
+    let auto = helm_core::autoplace::search(
         &system,
         &model,
         &policy,
         &WorkloadSpec::paper_default(),
         helm_core::autoplace::Objective::Latency,
+        helm_core::autoplace::SearchBudget::default(),
     )
     .expect("search succeeds");
     let base = serve(memory, PlacementKind::Baseline);

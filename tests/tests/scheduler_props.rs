@@ -1,10 +1,12 @@
-//! Scheduler-equivalence properties: the calendar-queue backend must
-//! be observationally identical to the binary-heap backend.
+//! Scheduler-equivalence properties: the calendar queue must be
+//! observationally identical to a binary-heap oracle.
 //!
 //! The DES engine's determinism contract is a single `(time, seq)`
 //! total order over events; the calendar queue is allowed to change
 //! the *cost* of maintaining that order, never the order itself.
-//! These properties drive both backends through the same randomized
+//! These properties drive the calendar queue and a plain
+//! `std::collections::BinaryHeap` keyed on `(time, seq)` through the
+//! same randomized
 //! schedule — quantized times to force exact ties, a heavy-tailed
 //! band to force far-future buckets, and interleaved pops so the
 //! calendar's current-bucket cursor rewinds and resizes mid-run —
@@ -12,8 +14,10 @@
 //! element for element.
 
 use proptest::prelude::*;
-use simcore::queue::{EventQueue, QueueBackend};
+use simcore::queue::EventQueue;
 use simcore::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One step of a randomized schedule.
 #[derive(Debug, Clone, Copy)]
@@ -38,23 +42,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Runs one schedule against both backends, comparing every pop (and
-/// the final drain) for identical `(time, id)`.
+/// The oracle's pop: the `(time, seq)` minimum. The push index is the
+/// sequence number, as in [`EventQueue`].
+fn heap_pop(heap: &mut BinaryHeap<Reverse<(SimTime, u64)>>) -> Option<(SimTime, u64)> {
+    heap.pop().map(|Reverse(entry)| entry)
+}
+
+/// Runs one schedule against the calendar queue and the heap oracle,
+/// comparing every pop (and the final drain) for identical
+/// `(time, id)`.
 fn check_schedule(ops: &[Op]) {
-    let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-    let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+    let mut cal = EventQueue::new();
+    let mut heap = BinaryHeap::new();
     let mut id = 0u64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Push(secs) => {
                 let time = SimTime::from_secs(secs);
                 cal.push(time, id);
-                heap.push(time, id);
+                heap.push(Reverse((time, id)));
                 id += 1;
             }
             Op::Pop => {
                 let c = cal.pop();
-                let h = heap.pop();
+                let h = heap_pop(&mut heap);
                 assert_eq!(
                     c.map(|(t, e)| (t.as_secs().to_bits(), e)),
                     h.map(|(t, e)| (t.as_secs().to_bits(), e)),
@@ -64,7 +75,7 @@ fn check_schedule(ops: &[Op]) {
         }
         assert_eq!(cal.len(), heap.len(), "length diverged at step {step}");
     }
-    while let Some(h) = heap.pop() {
+    while let Some(h) = heap_pop(&mut heap) {
         let c = cal.pop().expect("calendar drained early");
         assert_eq!(
             (c.0.as_secs().to_bits(), c.1),
@@ -84,7 +95,7 @@ proptest! {
     }
 
     /// All-ties schedules: every event at one instant, so the order
-    /// is pure FIFO by sequence number on both backends.
+    /// is pure FIFO by sequence number on both queues.
     #[test]
     fn exact_ties_stay_fifo(at in 0.0f64..1.0e6, n in 1usize..300) {
         let ops: Vec<Op> = std::iter::repeat_n(Op::Push(at), n)
