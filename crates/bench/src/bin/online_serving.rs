@@ -8,7 +8,7 @@
 //! unbounded queueing.
 
 use bench::{print_table, section};
-use helm_core::online::{run_online, PoissonArrivals};
+use helm_core::online::{run_cluster_mix_cached, CalibrationCache, ClusterSpec, PoissonArrivals};
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -44,10 +44,19 @@ fn main() -> Result<(), helm_core::HelmError> {
             "{label} under Poisson load (OPT-175B, NVDRAM, compressed)"
         ));
         let s = server(placement, batch)?;
+        // One replica, calibrated once for the whole rate sweep.
+        let mut cache = CalibrationCache::new();
         let mut rows = Vec::new();
         for lambda in [0.01f64, 0.03, 0.06, 0.10, 0.15, 0.25] {
             let mut arrivals = PoissonArrivals::new(lambda, 42);
-            let r = run_online(&s, &ws, &mut arrivals, n)?;
+            let r = run_cluster_mix_cached(
+                &[(&s, 1)],
+                &ws,
+                &mut arrivals,
+                n,
+                ClusterSpec::default(),
+                &mut cache,
+            )?;
             rows.push((
                 format!("{lambda:.2} req/s"),
                 vec![

@@ -627,11 +627,11 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
     }
     let seed = args.get_num("seed", 42u64)?;
     let target = args.get_num("target", 0.95f64)?;
-    if !(0.0..=1.0).contains(&target) {
-        return Err(ArgError(format!(
+    let plan_target = PlanTarget::try_attainment(target).map_err(|_| {
+        ArgError(format!(
             "--target must be an attainment fraction in [0, 1], got {target}"
-        )));
-    }
+        ))
+    })?;
 
     let positive_ms = |flag: &str| -> Result<SimDuration, ArgError> {
         let ms = args.get_num(flag, 0.0f64)?;
@@ -688,15 +688,8 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
         max_evals: args.get_num("max-evals", 0usize)?,
         ..SearchBudget::default()
     };
-    let report = planner::plan(
-        &server,
-        &workload,
-        &traffic,
-        PlanTarget::attainment(target),
-        &space,
-        budget,
-    )
-    .map_err(|e| ArgError(e.to_string()))?;
+    let report = planner::plan(&server, &workload, &traffic, plan_target, &space, budget)
+        .map_err(|e| ArgError(e.to_string()))?;
     if let Some(path) = args.get("trace-out") {
         // Replays the chosen configuration's confirmation run with
         // span collection on (the replay is deterministic in the

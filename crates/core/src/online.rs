@@ -21,7 +21,10 @@
 //! batch-4 replica next to a throughput-tuned All-CPU batch-44
 //! replica), calibrated once per distinct configuration through a
 //! caller-held [`CalibrationCache`]. A homogeneous `N`-replica
-//! cluster is the one-group list `[(&server, N)]`.
+//! cluster is the one-group list `[(&server, N)]`. The capacity
+//! planner ([`crate::planner`]) enters the same engine through a
+//! crate-private door that takes already-calibrated models and a miss
+//! budget, so it can stop probes whose outcome is already settled.
 //!
 //! Two serving granularities are modelled:
 //!
@@ -1224,10 +1227,41 @@ struct ClusterSt {
     /// [`dispatch`] under the schedulers that price every pipe, then
     /// read by [`admit`]; reused across arrivals.
     finish: Vec<SimTime>,
+    /// Miss budget: the most certain misses (rejections, expiries,
+    /// SLO violations) the run may record before [`charge`] cuts it.
+    /// `u64::MAX` — never cut — for every public entry point.
+    budget: u64,
+    /// Certain misses charged so far. Run-to-completion charges a
+    /// late member when its batch starts (its completion instant is
+    /// fixed then); continuous batching charges it at its last step.
+    misses: u64,
 }
 
 fn req_channel(p: usize) -> String {
     format!("requests:pipe{p}")
+}
+
+/// Charges `misses` certain misses against the run's miss budget and
+/// reports whether the budget is now spent. Spending it cuts the run:
+/// no further arrival is drawn, queued and active work is dropped and
+/// no pending boundary is replayed, so no pipe arms or restarts work
+/// again and the simulator drains the few completions still in its
+/// queue and stops. Called only on the three miss paths, never per
+/// event.
+fn charge(st: &mut ClusterSt, misses: u64) -> bool {
+    st.misses += misses;
+    if st.misses <= st.budget {
+        return false;
+    }
+    st.remaining = 0;
+    st.arrival_pending = None;
+    st.drain_span = None;
+    for pipe in &mut st.pipes {
+        pipe.queue.clear();
+        pipe.active.clear();
+        pipe.boundary = None;
+    }
+    true
 }
 
 /// Modeled completion instant of one more request landing on `pipe`:
@@ -1382,6 +1416,7 @@ fn start_batch(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
     // state forms batches allocation-free.
     let mut members = st.member_pool.pop().unwrap_or_default();
     debug_assert!(members.is_empty());
+    let mut shed = 0u64;
     while members.len() < max_batch as usize {
         match st.pipes[p].queue.pop_front() {
             Some(mut req) if req.at <= now => {
@@ -1390,6 +1425,7 @@ fn start_batch(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
                 {
                     st.audit.abandoned(&st.channels[p], 1);
                     st.pipes[p].expired += 1;
+                    shed += 1;
                     continue;
                 }
                 st.queue_delay.add((now - req.at).as_secs());
@@ -1404,6 +1440,21 @@ fn start_batch(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
         }
     }
     let batch = members.len() as u32;
+    let dur = st.models[model_idx].total(batch);
+    // The batch completes at `now + dur` whatever arrives meanwhile,
+    // so its late members are charged here rather than at completion;
+    // `slo_violations` is still tallied at completion.
+    let done = now + dur;
+    let late = members
+        .iter()
+        .filter(|req| req.deadline.is_some_and(|d| done > d))
+        .count() as u64;
+    if shed + late > 0 && charge(st, shed + late) {
+        members.clear();
+        st.member_pool.push(members);
+        st.pipes[p].idle = true;
+        return None;
+    }
     if batch == 0 {
         // Everything ready was shed as expired; the pipe goes back to
         // sleep until the next arrival wakes it.
@@ -1417,7 +1468,6 @@ fn start_batch(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
     st.pipes[p].in_flight = members.len();
     st.pipes[p].members = members;
     st.pipes[p].batches += 1;
-    let dur = st.models[model_idx].total(batch);
     st.pipes[p].busy += dur;
     st.pipes[p].free_at = now + dur;
     Some(st.pipes[p].free_at)
@@ -1558,6 +1608,7 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
     let max_batch = st.models[model_idx].max_batch();
     let continuing = st.pipes[p].active.len() as u32;
     let mut admitted = 0u32;
+    let mut shed = 0u64;
     while st.pipes[p].active.len() < max_batch as usize {
         match st.pipes[p].queue.pop_front() {
             Some(mut req) if req.at <= now => {
@@ -1566,6 +1617,7 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
                 {
                     st.audit.abandoned(&st.channels[p], 1);
                     st.pipes[p].expired += 1;
+                    shed += 1;
                     continue;
                 }
                 st.queue_delay.add((now - req.at).as_secs());
@@ -1579,6 +1631,10 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
             }
             None => break,
         }
+    }
+    if shed > 0 {
+        // A cut empties the active set, so the pipe sleeps below.
+        charge(st, shed);
     }
     debug_assert!(
         st.pipes[p].active.windows(2).all(|w| w[0].1 <= w[1].1),
@@ -1620,12 +1676,13 @@ fn complete_step(st: &mut ClusterSt, p: usize, done: SimTime) -> bool {
     let len = st.pipes[p].active.len();
     let mut write = 0usize;
     let mut finished = 0u64;
+    let mut late = 0u64;
     for read in 0..len {
         let (req, owed) = st.pipes[p].active[read];
         if owed <= 1 {
             st.e2e.add((done - req.at).as_secs());
             match req.deadline {
-                Some(d) if done > d => st.slo_violations += 1,
+                Some(d) if done > d => late += 1,
                 _ => st.met += 1,
             }
             record_request(st, p, &req, done, len as u32);
@@ -1640,6 +1697,12 @@ fn complete_step(st: &mut ClusterSt, p: usize, done: SimTime) -> bool {
     if finished > 0 {
         st.audit.completed(&st.channels[p], finished);
         st.last_completion = done;
+    }
+    if late > 0 {
+        st.slo_violations += late;
+        // A cut empties the active set and the queue, so the pipe
+        // does not restart.
+        charge(st, late);
     }
     st.pipes[p].idle = true;
     !st.pipes[p].active.is_empty() || !st.pipes[p].queue.is_empty()
@@ -1782,8 +1845,42 @@ pub fn run_cluster_mix_cached(
     spec: ClusterSpec,
     cache: &mut CalibrationCache,
 ) -> Result<ClusterReport, HelmError> {
-    let (models, pipes) = replica_groups(groups, workload, cache)?;
-    run_cluster_engine(models, pipes, workload, arrivals, num_requests, spec, None)
+    let groups = replica_groups(groups, workload, cache)?;
+    run_cluster_engine(
+        groups,
+        workload,
+        arrivals,
+        num_requests,
+        spec,
+        None,
+        u64::MAX,
+    )
+    .map(|report| report.unwrap_or_else(|| unreachable!("an unbudgeted run is never cut")))
+}
+
+/// [`run_cluster_mix_cached`] under a miss budget: the run is cut —
+/// `Ok(None)` — as soon as it has recorded more than `budget` certain
+/// misses (rejections, expiries, SLO violations), and otherwise
+/// returns the report the unbudgeted run returns, byte for byte. A
+/// cut run therefore ends with more than `budget` of its offered
+/// requests unmet. Test-only: the capacity planner reaches the same
+/// engine through its own crate-private path.
+///
+/// # Errors
+///
+/// Same contract as [`run_cluster_mix_cached`].
+#[cfg(feature = "oracles")]
+pub fn run_cluster_mix_budgeted(
+    groups: &[(&Server, usize)],
+    workload: &WorkloadSpec,
+    arrivals: &mut PoissonArrivals,
+    num_requests: usize,
+    spec: ClusterSpec,
+    cache: &mut CalibrationCache,
+    budget: u64,
+) -> Result<Option<ClusterReport>, HelmError> {
+    let groups = replica_groups(groups, workload, cache)?;
+    run_cluster_engine(groups, workload, arrivals, num_requests, spec, None, budget)
 }
 
 /// [`run_cluster_mix_cached`] with span collection on: returns the
@@ -1801,28 +1898,38 @@ pub fn run_cluster_mix_traced(
     spec: ClusterSpec,
     cache: &mut CalibrationCache,
 ) -> Result<(ClusterReport, Trace), HelmError> {
-    let (models, pipes) = replica_groups(groups, workload, cache)?;
+    let groups = replica_groups(groups, workload, cache)?;
     let mut trace = Trace::default();
     let report = run_cluster_engine(
-        models,
-        pipes,
+        groups,
         workload,
         arrivals,
         num_requests,
         spec,
         Some(&mut trace),
-    )?;
+        u64::MAX,
+    )?
+    .unwrap_or_else(|| unreachable!("an unbudgeted run is never cut"));
     Ok((report, trace))
 }
 
-/// One calibrated model per group and `count` idle pipes bound to it.
-/// A replica total that overflows `usize` or cannot be allocated is an
-/// [`HelmError::InvalidConfig`], not a panic or an abort.
+/// One calibrated model per group, paired with the group's replica
+/// count.
 fn replica_groups(
     groups: &[(&Server, usize)],
     workload: &WorkloadSpec,
     cache: &mut CalibrationCache,
-) -> Result<(Vec<ServiceModel>, Vec<Pipe>), HelmError> {
+) -> Result<Vec<(ServiceModel, usize)>, HelmError> {
+    groups
+        .iter()
+        .map(|(server, count)| Ok((cache.get_or_calibrate(server, workload)?, *count)))
+        .collect()
+}
+
+/// `count` idle pipes per group, bound to the group's model. A replica
+/// total that overflows `usize` or cannot be allocated is an
+/// [`HelmError::InvalidConfig`], not a panic or an abort.
+fn replica_pipes(groups: &[(ServiceModel, usize)]) -> Result<Vec<Pipe>, HelmError> {
     let total = groups
         .iter()
         .try_fold(0usize, |sum, (_, count)| sum.checked_add(*count))
@@ -1831,9 +1938,7 @@ fn replica_groups(
     pipes
         .try_reserve_exact(total)
         .map_err(|_| HelmError::InvalidConfig("too many replicas to allocate"))?;
-    let mut models = Vec::with_capacity(groups.len());
-    for (g, (server, count)) in groups.iter().enumerate() {
-        models.push(cache.get_or_calibrate(server, workload)?);
+    for (g, (_, count)) in groups.iter().enumerate() {
         pipes.extend((0..*count).map(|_| Pipe::new(g)));
     }
     if pipes.is_empty() {
@@ -1841,7 +1946,7 @@ fn replica_groups(
             "a cluster mix needs at least one pipeline",
         ));
     }
-    Ok((models, pipes))
+    Ok(pipes)
 }
 
 /// One arrival landing in the cluster (the registered arrival-span
@@ -1851,12 +1956,16 @@ fn replica_groups(
 /// the pipe if idle — and schedule the successor in the lazy arrival
 /// chain.
 fn fire_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt) {
-    let Some((i, req, vseq)) = st.arrival_pending.take() else {
+    if st.granularity == StepGranularity::Coalesced {
+        if let Some((_, req, vseq)) = st.arrival_pending {
+            drain_boundaries(st, Some((req.at, vseq)));
+        }
+    }
+    // Taken only after the drain: a cut during it withdraws the
+    // arrival.
+    let Some((i, req, _)) = st.arrival_pending.take() else {
         return;
     };
-    if st.granularity == StepGranularity::Coalesced {
-        drain_boundaries(st, Some((req.at, vseq)));
-    }
     st.events += 1;
     let now = ctx.now();
     let p = dispatch(st, i, req.deadline, now);
@@ -1865,6 +1974,8 @@ fn fire_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt) {
     if !admit(st, p, &req, now) {
         st.audit.abandoned(&st.channels[p], 1);
         st.pipes[p].rejected += 1;
+        // A cut leaves nothing for the arrival chain to draw.
+        charge(st, 1);
     } else {
         push_request(st, p, req);
         if st.pipes[p].idle {
@@ -1914,19 +2025,36 @@ fn schedule_next_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, i: us
     }
 }
 
-/// The shared cluster simulation: `pipes` (each bound to one of
-/// `models`) serving Poisson arrivals under `spec`'s dispatch,
+/// The shared cluster simulation: `count` replicas of each group's
+/// calibrated model serving Poisson arrivals under `spec`'s dispatch,
 /// admission, deadline, and recording policies. Span trees are built
 /// only when `trace_out` is given.
-fn run_cluster_engine(
-    models: Vec<ServiceModel>,
-    pipes: Vec<Pipe>,
+///
+/// `budget` caps the certain misses — rejections, expiries, SLO
+/// violations — the run may record: one more cuts it (see [`charge`])
+/// and the result is `Ok(None)`, so no partial report or unbalanced
+/// audit ledger escapes. Misses only accumulate, and every one of
+/// them is unmet in the finished run, so a cut run would have ended
+/// with more than `budget` of its offered requests unmet; a run that
+/// is not cut returns the unbudgeted report byte for byte. Public
+/// entry points pass `u64::MAX`; the capacity planner passes the
+/// budget past which a probe's outcome can no longer matter.
+///
+/// # Errors
+///
+/// [`HelmError::InvalidConfig`] when the groups contribute no
+/// pipeline or more than can be allocated; simulation faults.
+pub(crate) fn run_cluster_engine(
+    groups: Vec<(ServiceModel, usize)>,
     workload: &WorkloadSpec,
     arrivals: &mut PoissonArrivals,
     num_requests: usize,
     spec: ClusterSpec,
     trace_out: Option<&mut Trace>,
-) -> Result<ClusterReport, HelmError> {
+    budget: u64,
+) -> Result<Option<ClusterReport>, HelmError> {
+    let pipes = replica_pipes(&groups)?;
+    let models: Vec<ServiceModel> = groups.into_iter().map(|(model, _)| model).collect();
     let n = pipes.len();
     let (queue_delay, e2e) = match spec.record {
         RecordMode::Full => (LatencyStats::full(), LatencyStats::full()),
@@ -1965,6 +2093,8 @@ fn run_cluster_engine(
         arrival_span: None,
         drain_span: None,
         finish: Vec::with_capacity(n),
+        budget,
+        misses: 0,
     });
     // Both granularities route arrivals through one registered span
     // (no per-arrival closure allocation); coalesced mode adds the
@@ -2005,6 +2135,9 @@ fn run_cluster_engine(
     sim.run_until(SimTime::from_secs(f64::MAX));
     let fired = sim.events_fired();
     let mut st = sim.run_checked()?;
+    if st.misses > st.budget {
+        return Ok(None);
+    }
     if let (Some(out), Some(collected)) = (trace_out, st.trace.take()) {
         *out = collected;
     }
@@ -2048,7 +2181,7 @@ fn run_cluster_engine(
     let secs = makespan.as_secs().max(f64::MIN_POSITIVE);
     let tokens = served * workload.gen_len as u64;
     let tokens_met = st.met * workload.gen_len as u64;
-    Ok(ClusterReport {
+    Ok(Some(ClusterReport {
         served,
         rejected,
         expired,
@@ -2065,7 +2198,7 @@ fn run_cluster_engine(
         attribution: st.attribution,
         per_pipeline,
         audit: audit.finish_if_active(),
-    })
+    }))
 }
 #[cfg(test)]
 mod tests {
@@ -2765,6 +2898,8 @@ mod tests {
             arrival_span: None,
             drain_span: None,
             finish: Vec::new(),
+            budget: u64::MAX,
+            misses: 0,
         }
     }
 

@@ -15,7 +15,7 @@
 //! total replicas — whose simulated attainment clears the target.
 //!
 //! The joint lattice is thousands of candidates where autoplace's
-//! grid was 43, so the search leans on three layers of perf
+//! grid was 43, so the search leans on four layers of perf
 //! machinery:
 //!
 //! 1. **Analytical pruning** ([`attainment_bound`]): an optimistic
@@ -28,12 +28,12 @@
 //!    soundness contract as `autoplace`'s prune layer), so all of
 //!    its scheduler × admission variants are pruned without running
 //!    a single simulation.
-//! 2. **Calibration caching**
-//!    ([`CalibrationCache`](crate::online::CalibrationCache)): every
-//!    probe of a mix draws its service models from one shared memo,
-//!    so the two calibration pipeline runs per distinct
-//!    `(placement, batch)` template are paid once for the whole
-//!    search instead of once per probe.
+//! 2. **Calibration once per template**
+//!    ([`CalibrationCache`](crate::online::CalibrationCache)): the two
+//!    calibration pipeline runs per distinct `(placement, batch)`
+//!    template are paid once, before the first probe, and every probe
+//!    and confirmation hands the already-calibrated models straight
+//!    to the cluster engine — no per-probe cache lookup.
 //! 3. **Best-bound-first probing**: surviving candidates are probed
 //!    one by one with short capped-request DES runs
 //!    ([`RecordMode::Aggregate`](crate::exec::RecordMode)), in a
@@ -41,6 +41,20 @@
 //!    counts are walked coarse-to-fine (cheapest level first), and
 //!    the first probe-feasible candidate is verified with one
 //!    full-length confirmation run before being returned.
+//! 4. **Cut runs**: a probe's report feeds only `attainment >=
+//!    target` and `attainment > best_probe`, a confirmation's only
+//!    `attainment >= target`. A run over `n` requests that has
+//!    recorded `m` certain misses (rejections, expiries, SLO
+//!    violations) ends at an attainment of at most `(n - m) / n` —
+//!    every run offers all `n` arrivals, misses never un-happen, and
+//!    integer-to-`f64` division is monotone. So the cluster engine
+//!    takes a miss budget and stops a probe the moment `(n - m) / n <
+//!    target` and `(n - m) / n <= best_probe` (a tie cannot replace
+//!    the best probe), and a confirmation the moment `(n - m) / n <
+//!    target`. Such a run could change nothing the search reads, so
+//!    the report is byte-identical to running every probe to the end
+//!    — the same sound-pruning contract as layer 1, applied inside
+//!    the DES run. With no best probe yet, nothing is cut.
 //!
 //! The resource knobs ([`SearchBudget`]) and work accounting
 //! ([`SearchStats`]) are shared with [`crate::autoplace`] — one
@@ -107,13 +121,30 @@ impl PlanTarget {
     ///
     /// # Panics
     ///
-    /// Panics unless `attainment` is in `[0, 1]`.
+    /// Panics unless `attainment` is in `[0, 1]`; library callers
+    /// with untrusted input use [`PlanTarget::try_attainment`].
     pub fn attainment(attainment: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&attainment),
             "attainment target must be in [0, 1]"
         );
         PlanTarget { attainment }
+    }
+
+    /// A target attainment, checked.
+    ///
+    /// # Errors
+    ///
+    /// [`HelmError::InvalidConfig`] unless `attainment` is in
+    /// `[0, 1]` (NaN and the infinities included).
+    pub fn try_attainment(attainment: f64) -> Result<Self, HelmError> {
+        if (0.0..=1.0).contains(&attainment) {
+            Ok(PlanTarget { attainment })
+        } else {
+            Err(HelmError::InvalidConfig(
+                "attainment target must be in [0, 1]",
+            ))
+        }
     }
 }
 

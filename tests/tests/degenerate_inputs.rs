@@ -6,8 +6,9 @@
 //! Each test here is a regression pin for one edge that used to (or
 //! plausibly could) assert, overflow or divide by zero: an empty
 //! cluster mix, a replica count too large to allocate, a plan space
-//! with nothing to search, a zero-request probe, a zero-request
-//! serve, and a zero-capacity latency reservoir.
+//! with nothing to search, an out-of-range attainment target, a
+//! zero-request probe, a zero-request serve, and a zero-capacity
+//! latency reservoir.
 
 use helm_core::error::HelmError;
 use helm_core::online::{
@@ -143,6 +144,20 @@ fn degenerate_plan_inputs_are_typed_errors() {
         plan(&server, &workload, &empty_traffic, target, &space, budget),
         "zero requests",
     );
+}
+
+/// An attainment target outside `[0, 1]` is a typed error from the
+/// checked constructor, never the assert of the unchecked one; the
+/// closed interval's endpoints are accepted.
+#[test]
+fn out_of_range_plan_targets_are_typed_errors() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.1] {
+        assert_invalid_config(PlanTarget::try_attainment(bad), &format!("target {bad}"));
+    }
+    for good in [0.0, 0.5, 1.0] {
+        let target = PlanTarget::try_attainment(good).expect("in-range target");
+        assert_eq!(target, PlanTarget::attainment(good));
+    }
 }
 
 /// Serving zero requests yields an honest all-zero report: it

@@ -1,13 +1,14 @@
 //! Properties of the capacity planner: soundness of the analytical
 //! attainment bound (bound-feasible ⊇ DES-feasible over random
-//! traffic, mixes, schedulers, and admission policies), repeated-run
-//! determinism of the search, and minimum-resource correctness of the
-//! chosen configuration.
+//! traffic, mixes, schedulers, and admission policies), exactness of
+//! the cluster engine's miss budget that cuts settled probes short,
+//! repeated-run determinism of the search, and minimum-resource
+//! correctness of the chosen configuration.
 
 use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec, DeadlineSpec,
-    PoissonArrivals, SchedulerKind, ServiceModel, StepGranularity,
+    run_cluster_mix_budgeted, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache,
+    ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind, ServiceModel, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::planner::{
@@ -72,6 +73,132 @@ fn fingerprint(report: &PlanReport) -> String {
     clone.stats.wall_ms = 0.0;
     clone.confirm_wall_ms = 0.0;
     format!("{clone:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Exactness of the miss budget the planner cuts runs with: a run
+    /// under budget `m` is cut exactly when the unbudgeted run ends
+    /// with more than `m` unmet requests, and an uncut run's report is
+    /// byte-identical to the unbudgeted one — over every scheduler,
+    /// admission policy, batching mode and granularity. Half the
+    /// budgets are drawn around the run's own unmet count, so both
+    /// sides of the threshold come up.
+    #[test]
+    fn miss_budget_cuts_exactly_the_runs_it_can(
+        load in 0.5f64..6.0,
+        deadline_sel in 0u8..3,
+        tight_x in 0.3f64..3.0,
+        loose_x in 2.0f64..12.0,
+        tight_fraction in 0.0..1.0f64,
+        raw_counts in (0usize..=2, 0usize..=2, 0usize..=2),
+        scheduler_sel in 0u8..4,
+        admission_sel in 0u8..3,
+        queue_cap in 1usize..=3,
+        continuous in any::<bool>(),
+        per_step in any::<bool>(),
+        num_requests in 10usize..=40,
+        seed in 0u64..100_000,
+        near_threshold in any::<bool>(),
+        raw_budget in 0u64..=12,
+        offset in -3i64..=2,
+    ) {
+        let counts = match raw_counts {
+            (0, 0, 0) => [0, 0, 1],
+            (a, b, c) => [a, b, c],
+        };
+        let workload = WorkloadSpec::new(32, 3, 1);
+        let servers: Vec<Server> = TEMPLATES.iter().map(|&(p, b)| server(p, b)).collect();
+        let mut cache = CalibrationCache::new();
+        // Arrival rate (per replica) and deadlines scale with the
+        // slowest template's lone-request service time, so queues
+        // build and deadlines bite: most runs end with unmet requests
+        // to charge.
+        let unit = servers
+            .iter()
+            .map(|s| cache.get_or_calibrate(s, &workload).unwrap().total(1).as_secs())
+            .fold(0.0, f64::max);
+        let replicas: usize = counts.iter().sum();
+        let lambda = load * replicas as f64 / unit;
+        let deadlines = match deadline_sel {
+            0 => DeadlineSpec::None,
+            1 => DeadlineSpec::Fixed(SimDuration::from_secs(unit * tight_x)),
+            _ => DeadlineSpec::Bimodal {
+                tight: SimDuration::from_secs(unit * tight_x),
+                loose: SimDuration::from_secs(unit * loose_x),
+                tight_fraction,
+                seed,
+            },
+        };
+        let scheduler = [
+            SchedulerKind::RoundRobin,
+            SchedulerKind::JoinShortestQueue,
+            SchedulerKind::LeastFinishTime,
+            SchedulerKind::DeadlineAware,
+        ][scheduler_sel as usize];
+        let admission = match admission_sel {
+            0 => AdmissionPolicy::AcceptAll,
+            1 => AdmissionPolicy::QueueCap(queue_cap),
+            _ => AdmissionPolicy::DeadlineFeasible,
+        };
+        let granularity = if per_step {
+            StepGranularity::PerStep
+        } else {
+            StepGranularity::Coalesced
+        };
+        let groups: Vec<(&Server, usize)> = servers
+            .iter()
+            .zip(counts)
+            .filter(|(_, c)| *c > 0)
+            .collect();
+        let spec = ClusterSpec::default()
+            .with_scheduler(scheduler)
+            .with_admission(admission)
+            .with_deadlines(deadlines)
+            .with_continuous(continuous)
+            .with_granularity(granularity)
+            .with_record(RecordMode::Aggregate);
+        let full = run_cluster_mix_cached(
+            &groups,
+            &workload,
+            &mut PoissonArrivals::new(lambda, seed),
+            num_requests,
+            spec,
+            &mut cache,
+        ).unwrap();
+        let unmet = full.offered() - full.met;
+        let budget = if near_threshold {
+            unmet.saturating_add_signed(offset)
+        } else {
+            raw_budget
+        };
+        let budgeted = run_cluster_mix_budgeted(
+            &groups,
+            &workload,
+            &mut PoissonArrivals::new(lambda, seed),
+            num_requests,
+            spec,
+            &mut cache,
+            budget,
+        ).unwrap();
+        let label = format!(
+            "budget {budget}, unmet {unmet}: {scheduler} / {admission} / \
+             continuous {continuous} / {granularity} / counts {counts:?}"
+        );
+        match budgeted {
+            None => prop_assert!(unmet > budget, "cut a run that stays in budget ({label})"),
+            Some(report) => {
+                prop_assert!(unmet <= budget, "ran past the budget uncut ({label})");
+                prop_assert_eq!(
+                    format!("{report:?}"),
+                    format!("{full:?}"),
+                    "an uncut budgeted run diverged ({})",
+                    label
+                );
+            }
+        }
+    }
 }
 
 proptest! {
