@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use helm_core::autoplace::{search, Objective, SearchBudget};
 use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
-use helm_core::exec_des::run_pipeline_des;
+use helm_core::oracles::run_pipeline_des;
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;

@@ -17,9 +17,8 @@
 use std::time::Instant;
 
 use bench::{print_table, section};
-use helm_core::exec::{
-    run_pipeline, run_pipeline_reference, LayerCostTable, PipelineInputs, RecordMode,
-};
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
+use helm_core::oracles::run_pipeline_reference;
 use helm_core::placement::{ModelPlacement, Tier};
 use helm_core::policy::Policy;
 use helm_core::system::SystemConfig;

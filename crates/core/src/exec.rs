@@ -16,7 +16,6 @@
 //! per-tier rate caps.
 
 use crate::error::HelmError;
-use crate::exec_des::Flow;
 use crate::metrics::{LayerStepRecord, RunReport, Stage, StepTotals};
 use crate::placement::{LayerPlacement, ModelPlacement, Tier};
 use crate::policy::Policy;
@@ -29,7 +28,7 @@ use llm::ModelConfig;
 use simaudit::Auditor;
 use simcore::stats::SeriesStats;
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace::{duration_ticks, time_ticks, TraceSpan};
+use simcore::trace::{duration_ticks, TraceSpan};
 use simcore::units::{Bandwidth, ByteSize};
 use workload::WorkloadSpec;
 use xfer::link::CappedLink;
@@ -121,12 +120,8 @@ enum DecodeCompute {
 pub(crate) struct WritebackCost {
     /// D2H payload of one MHA step.
     pub(crate) bytes: ByteSize,
-    /// Full standalone write-back time (analytic executor).
+    /// Full standalone write-back time.
     pub(crate) time: SimDuration,
-    /// Streaming rate cap (DES executor).
-    pub(crate) cap: Bandwidth,
-    /// Fixed (non-streaming) share of `time` (DES executor).
-    pub(crate) fixed: SimDuration,
 }
 
 /// Everything about a pipeline run that does not depend on the token
@@ -136,12 +131,11 @@ pub(crate) struct WritebackCost {
 /// and almost everything it used to recompute per step is
 /// token-invariant: per-layer weight [`load_time`] (the CPU/disk
 /// split and its capped-link water-filling), per-layer offloaded H2D
-/// byte counts, per-layer DES weight flows, the KV write-back cost of
-/// each stage, and all decode compute except the attention GEMM —
-/// which is cached as coefficients of the context length
-/// (`DecodeCompute`). Both executors ([`run_pipeline`],
-/// [`crate::exec_des::run_pipeline_des`]) and the autoplace
-/// bound ([`crate::autoplace`]) consume the same table.
+/// byte counts, the KV write-back cost of each stage, and all decode
+/// compute except the attention GEMM — which is cached as
+/// coefficients of the context length (`DecodeCompute`). The
+/// executor ([`run_pipeline`]) and the autoplace bound
+/// ([`crate::autoplace`]) consume the same table.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
     layers: Vec<LayerCosts>,
@@ -168,8 +162,6 @@ struct LayerCosts {
     offloaded: ByteSize,
     prefill_compute: SimDuration,
     decode_compute: DecodeCompute,
-    /// The layer's weight streams for the DES executor.
-    flows: Vec<Flow>,
 }
 
 impl LayerCostTable {
@@ -191,7 +183,7 @@ impl LayerCostTable {
         let gpu = inp.system.gpu();
 
         let mut layers = Vec::with_capacity(placed.len());
-        for (j, lp) in placed.iter().enumerate() {
+        for lp in placed {
             let layer = lp.layer();
             let decode_compute = match layer.kind() {
                 LayerKind::Mha => {
@@ -234,7 +226,6 @@ impl LayerCostTable {
                 offloaded: lp.offloaded_bytes(dtype),
                 prefill_compute: compute_time(inp, layer, Stage::Prefill, 0),
                 decode_compute,
-                flows: crate::exec_des::host_flows(inp, j, cpu_ws, disk_ws, None)?,
             });
         }
 
@@ -243,21 +234,11 @@ impl LayerCostTable {
                 let bytes = ByteSize::from_bytes(
                     u64::from(effective_batch) * new_tokens as u64 * kv_per_token,
                 );
-                let unavailable = HelmError::TierUnavailable { tier: "cpu" };
                 let time = inp
                     .system
                     .tier_writeback_time(Tier::Cpu, bytes, Some(cpu_ws))
-                    .ok_or(unavailable.clone())?;
-                let cap = inp
-                    .system
-                    .tier_writeback_bandwidth(Tier::Cpu, bytes, Some(cpu_ws))
-                    .ok_or(unavailable)?;
-                Ok(WritebackCost {
-                    bytes,
-                    time,
-                    cap,
-                    fixed: time - cap.time_for(bytes),
-                })
+                    .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
+                Ok(WritebackCost { bytes, time })
             };
             Some([cost(inp.workload.prompt_len)?, cost(1)?])
         } else {
@@ -290,10 +271,6 @@ impl LayerCostTable {
 
     pub(crate) fn offloaded_bytes(&self, j: usize) -> ByteSize {
         self.layers[j].offloaded
-    }
-
-    pub(crate) fn weight_flows(&self, j: usize) -> &[Flow] {
-        &self.layers[j].flows
     }
 
     pub(crate) fn writeback(&self, stage: Stage) -> Option<&WritebackCost> {
@@ -383,9 +360,10 @@ impl StepAttribution {
     }
 
     /// [`StepAttribution::close`] against an absolute instant (the
-    /// DES executor tracks `SimTime`, not elapsed durations).
+    /// discrete-event oracle tracks `SimTime`, not elapsed durations).
+    #[cfg(any(test, feature = "oracles"))]
     pub(crate) fn close_at(&mut self, at: SimTime, transfer_bound: bool) -> (u64, u64) {
-        self.close_ticks(time_ticks(at), transfer_bound)
+        self.close_ticks(simcore::trace::time_ticks(at), transfer_bound)
     }
 
     fn close_ticks(&mut self, now: u64, transfer_bound: bool) -> (u64, u64) {
@@ -411,7 +389,7 @@ impl StepAttribution {
 /// [`RecordMode`] — the analytic executor's one entry point. Every
 /// reported aggregate (TTFT, TBT samples, total time, traffic totals,
 /// audit ledgers, attribution) is bit-identical to the seed evaluator
-/// ([`run_pipeline_reference`]); under [`RecordMode::Full`] the step
+/// kept among the test oracles; under [`RecordMode::Full`] the step
 /// records are too.
 ///
 /// Handed a `trace` sink, the run also collects the batch's span tree
@@ -619,157 +597,7 @@ pub fn run_pipeline(
     })
 }
 
-/// The seed evaluator: costs every step from scratch with no
-/// memoization. Kept as the golden reference the cost-table fast path
-/// is proven bit-identical against (equivalence proptests, and the
-/// `bench_pipeline` baseline).
-///
-/// # Errors
-///
-/// Returns [`HelmError::TierUnavailable`] as [`run_pipeline`] does.
-pub fn run_pipeline_reference(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError> {
-    let layers = inp.placement.layers();
-    let num_layers = layers.len();
-    let gen_len = inp.workload.gen_len;
-    let cpu_ws = inp.placement.total_on(Tier::Cpu);
-    let disk_ws = inp.placement.total_on(Tier::Disk);
-
-    let mut records = Vec::with_capacity(num_layers * gen_len);
-    let mut elapsed = SimDuration::ZERO;
-    let mut tbt = SeriesStats::new();
-    let mut ttft = SimDuration::ZERO;
-
-    let mut audit = Auditor::capture();
-    audit_placement_feasibility(&mut audit, inp);
-    let micro = inp.policy.num_gpu_batches();
-    let effective_batch = inp.policy.effective_batch();
-    let dtype = inp.placement.dtype();
-
-    // Pipeline fill: the first layer's weights stream before any
-    // compute can overlap them.
-    elapsed += load_time(inp, &layers[0], cpu_ws, disk_ws)?;
-    audit_weight_traffic(&mut audit, &layers[0], dtype);
-    let mut att = StepAttribution::default();
-    att.close(elapsed, true);
-
-    for token in 0..gen_len {
-        let stage = if token == 0 {
-            Stage::Prefill
-        } else {
-            Stage::Decode
-        };
-        let token_start = elapsed;
-        for (j, lp) in layers.iter().enumerate() {
-            let last_step = token + 1 == gen_len && j + 1 == num_layers;
-            let next_index = (j + 1) % num_layers;
-            let (mut load, next_kind, mut h2d) = if last_step {
-                (SimDuration::ZERO, None, ByteSize::ZERO)
-            } else {
-                let next = &layers[next_index];
-                (
-                    load_time(inp, next, cpu_ws, disk_ws)?,
-                    Some(next.layer().kind()),
-                    next.offloaded_bytes(dtype),
-                )
-            };
-            if !last_step {
-                audit_weight_traffic(&mut audit, &layers[next_index], dtype);
-            }
-            // Under KV offloading, the next layer's cache streams in
-            // alongside its weights and shares the same H2D budget.
-            if inp.policy.kv_offload() {
-                if let Some(LayerKind::Mha) = next_kind {
-                    let next = &layers[next_index];
-                    let context = match stage {
-                        Stage::Prefill => 0, // no cache yet at prefill
-                        Stage::Decode => inp.workload.prompt_len + token,
-                    };
-                    let kv_in = next.layer().kv_read_bytes(effective_batch, context);
-                    if kv_in > ByteSize::ZERO {
-                        load += inp
-                            .system
-                            .kv_stream_bandwidth(kv_in, Some(cpu_ws))
-                            .ok_or(HelmError::TierUnavailable { tier: "cpu" })?
-                            .time_for(kv_in);
-                        h2d += kv_in;
-                        audit.scheduled("h2d:kv", kv_in);
-                        audit.delivered("h2d:kv", kv_in);
-                    }
-                }
-            }
-            // Micro-batching amortizes one weight load across several
-            // GPU batches (FlexGen's block schedule).
-            let compute = compute_time(inp, lp.layer(), stage, token) * f64::from(micro);
-            // KV write-back for the tokens this step produced.
-            let (writeback, d2h) = if inp.policy.kv_offload() && lp.layer().kind() == LayerKind::Mha
-            {
-                let new_tokens = match stage {
-                    Stage::Prefill => inp.workload.prompt_len,
-                    Stage::Decode => 1,
-                };
-                let bytes = ByteSize::from_bytes(
-                    u64::from(effective_batch)
-                        * new_tokens as u64
-                        * llm::kv::kv_bytes_per_token_per_block(inp.model),
-                );
-                let t = inp
-                    .system
-                    .tier_writeback_time(Tier::Cpu, bytes, Some(cpu_ws))
-                    .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
-                (t, bytes)
-            } else {
-                (SimDuration::ZERO, ByteSize::ZERO)
-            };
-            if d2h > ByteSize::ZERO {
-                audit.scheduled("d2h:kv", d2h);
-                audit.delivered("d2h:kv", d2h);
-            }
-            let step = compute.max(load).max(writeback) + SYNC_OVERHEAD;
-            audit.check_duration("compute", compute);
-            audit.check_duration("load", load);
-            audit.check_duration("step", step);
-            records.push(LayerStepRecord {
-                token,
-                layer_index: j,
-                kind: lp.layer().kind(),
-                stage,
-                compute,
-                load_next: load,
-                next_kind,
-                h2d_bytes: h2d,
-                d2h_bytes: d2h,
-                step,
-            });
-            elapsed += step;
-            audit.observe_time("analytic", SimTime::ZERO + elapsed);
-            att.close(elapsed, load.max(writeback) > compute);
-        }
-        if token == 0 {
-            ttft = elapsed;
-        } else {
-            tbt.add((elapsed - token_start).as_secs());
-        }
-    }
-
-    Ok(RunReport {
-        model: inp.model.name().to_owned(),
-        config: inp.system.memory().kind().to_string(),
-        placement: inp.policy.placement(),
-        batch: effective_batch,
-        compressed: inp.policy.compressed(),
-        ttft,
-        tbt,
-        total_time: elapsed,
-        tokens_generated: inp.workload.tokens_generated(effective_batch),
-        totals: StepTotals::from_records(&records),
-        records,
-        achieved_distribution: inp.placement.achieved_distribution(),
-        attribution: att.finish(),
-        audit: audit.finish_if_active(),
-    })
-}
-
-/// Feasibility checks shared by both executors: the achieved percent
+/// Feasibility checks shared by every executor: the achieved percent
 /// split sums to 100 and no tier holds more weight bytes than it has
 /// capacity (the `run_unchecked` path skips server-side validation,
 /// so the auditor re-derives it at execution time).
@@ -784,23 +612,6 @@ pub(crate) fn audit_placement_feasibility(audit: &mut Auditor, inp: &PipelineInp
             inp.placement.total_on(tier),
             inp.system.tier_capacity(tier),
         );
-    }
-}
-
-/// Ledger entries for one layer's weight transfer. Closed-form
-/// transfers complete within the step that issues them, so scheduling
-/// and delivery are recorded together; the ledger still cross-checks
-/// the per-tier split against the report's traffic totals.
-fn audit_weight_traffic(audit: &mut Auditor, lp: &LayerPlacement, dtype: DType) {
-    if !audit.is_active() {
-        return;
-    }
-    for (tier, channel) in [(Tier::Cpu, "h2d:cpu"), (Tier::Disk, "h2d:disk")] {
-        let bytes = lp.bytes_on(tier, dtype);
-        if bytes > ByteSize::ZERO {
-            audit.scheduled(channel, bytes);
-            audit.delivered(channel, bytes);
-        }
     }
 }
 

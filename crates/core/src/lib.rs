@@ -17,11 +17,24 @@
 //! * [`system`] — the full platform assembly (Table I + Table II).
 //! * [`exec`] — the zig-zag pipeline executor (Listing 1): compute of
 //!   layer *j* overlapped with the weight transfer of layer *j+1* on
-//!   a shared PCIe link model.
+//!   a shared PCIe link model. It is the one executor every report
+//!   comes from.
 //! * [`metrics`] — TTFT / TBT / throughput and the per-layer,
 //!   per-stage timers behind the paper's overlap figures.
 //! * [`server`] — the high-level entry point.
 //! * [`projection`] — CXL performance projections (§V-D, Table IV).
+//! * [`autoplace`] — automatic weight-placement search.
+//! * [`online`] — request-level serving: Poisson arrivals, the
+//!   calibrated per-batch service model and the cluster engine.
+//! * [`planner`] — SLO-aware capacity planning over the cluster
+//!   engine.
+//! * [`energy`] — system energy accounting.
+//! * [`trace`] — per-request span traces and critical-path
+//!   attribution.
+//! * [`error`] — the serving error type.
+//! * `oracles` — test oracles (the discrete-event executor, the seed
+//!   evaluator, the hand-rolled online loop, the budgeted cluster
+//!   door), compiled only for tests and with the `oracles` feature.
 //!
 //! # Examples
 //!
@@ -51,9 +64,10 @@ pub mod autoplace;
 pub mod energy;
 pub mod error;
 pub mod exec;
-pub mod exec_des;
 pub mod metrics;
 pub mod online;
+#[cfg(any(test, feature = "oracles"))]
+pub mod oracles;
 pub mod placement;
 pub mod planner;
 pub mod policy;

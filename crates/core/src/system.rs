@@ -265,7 +265,10 @@ impl SystemConfig {
 
     /// Effective GPU→host bandwidth writing `bytes` back to `tier`
     /// (KV-cache write-back under offloading). Hits the paper's
-    /// Fig 3b regime: Optane writes collapse to ~3 GB/s.
+    /// Fig 3b regime: Optane writes collapse to ~3 GB/s. Only the
+    /// discrete-event oracle streams write-backs at a rate; the
+    /// production executor prices them with [`Self::tier_writeback_time`].
+    #[cfg(any(test, feature = "oracles"))]
     pub fn tier_writeback_bandwidth(
         &self,
         tier: Tier,

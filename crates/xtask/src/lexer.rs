@@ -7,12 +7,12 @@
 //!   lifetimes) with line/offset information, plus the comment list
 //!   (waiver comments live there). The parser ([`crate::parse`]) and
 //!   every rule in [`crate::rules`] run on this stream.
-//! * [`blank_noncode`] / [`cfg_test_spans`] — the original seed
-//!   scanner's view: source with comment and literal *contents*
-//!   replaced by spaces, 1:1. Kept verbatim so the legacy scanner
-//!   ([`crate::legacy`]) still runs; the workspace self-check asserts
-//!   the token-based pass and the legacy pass agree on every finding
-//!   of the three original rules.
+//! * `blank_noncode` / `cfg_test_spans` — the original seed scanner's
+//!   view: source with comment and literal *contents* replaced by
+//!   spaces, 1:1. Compiled only for unit tests, so the legacy scanner
+//!   (`crate::legacy`) still runs there; a workspace test asserts the
+//!   token-based pass and the legacy pass agree on every finding of
+//!   the three original rules.
 
 /// Token classes the lexer distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,13 +354,14 @@ fn skip_number(b: &[char], mut i: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy blanking view (seed scanner support)
+// Legacy blanking view (seed scanner support; compiled for tests only)
 // ---------------------------------------------------------------------------
 
 /// Returns `src` with comment and literal contents replaced by
 /// spaces. Output has the same character count and the same newline
 /// positions as the input, so char offsets and line numbers carry
 /// over directly.
+#[cfg(test)]
 pub fn blank_noncode(src: &str) -> String {
     let b: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
@@ -420,6 +421,7 @@ pub fn blank_noncode(src: &str) -> String {
 
 /// Blanks a `"..."` literal starting at `b[i] == '"'`; returns the
 /// index past the closing quote.
+#[cfg(test)]
 fn blank_string(b: &[char], mut i: usize, out: &mut String) -> usize {
     out.push('"');
     i += 1;
@@ -444,12 +446,14 @@ fn blank_string(b: &[char], mut i: usize, out: &mut String) -> usize {
 
 /// Whether the char before `b[i]` continues an identifier (so this
 /// `r`/`b` is part of a name, not a literal prefix).
+#[cfg(test)]
 fn ident_before(b: &[char], i: usize) -> bool {
     i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_')
 }
 
 /// Blanks a raw string starting at `b[i] == 'r'`; returns the index
 /// past the closing delimiter.
+#[cfg(test)]
 fn blank_raw_string(b: &[char], mut i: usize, out: &mut String) -> usize {
     out.push('r');
     i += 1;
@@ -486,6 +490,7 @@ fn blank_raw_string(b: &[char], mut i: usize, out: &mut String) -> usize {
 
 /// Blanks a char literal, or passes a lifetime through unchanged;
 /// returns the index past what was consumed.
+#[cfg(test)]
 fn blank_char_or_lifetime(b: &[char], i: usize, out: &mut String) -> usize {
     // '\x' escape form: always a char literal.
     if matches!(b.get(i + 1), Some('\\')) {
@@ -520,6 +525,7 @@ fn blank_char_or_lifetime(b: &[char], i: usize, out: &mut String) -> usize {
 
 /// Char-index spans of `#[cfg(test)]`-gated items in blanked source
 /// (the attribute through the matching close brace of the item body).
+#[cfg(test)]
 pub fn cfg_test_spans(blanked: &str) -> Vec<(usize, usize)> {
     let b: Vec<char> = blanked.chars().collect();
     let needle: Vec<char> = "#[cfg(test)]".chars().collect();

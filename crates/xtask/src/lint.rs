@@ -203,8 +203,9 @@ fn apply_allowlist(allow: &Allowlist, active: &FindingLines, report: &mut LintRe
 ///
 /// This is the engine's own regression gate: the original scanner is
 /// kept verbatim in [`crate::legacy`] as an oracle, and any
-/// disagreement means one of the two mis-lexed real code. Exposed as
-/// `cargo xtask lint --self-check` and exercised by a unit test.
+/// disagreement means one of the two mis-lexed real code. Exercised by
+/// a unit test; the shipped tool does not carry it.
+#[cfg(test)]
 pub fn self_check(root: &Path) -> Result<Vec<String>, String> {
     let legacy_rules = ["raw-unit-arith", "no-panic", "untyped-unit-const"];
     let mut divergences = Vec::new();

@@ -11,11 +11,13 @@
 //!   allowlist entries and drop stale ones. Refuses to add entries
 //!   for new `(rule, file)` pairs: those must be written by hand
 //!   with a justification, or waived in source.
-//! * `lint --self-check` — run the retired seed scanner next to the
-//!   token pass and fail on any divergence over the three original
-//!   rules (the engine's own regression gate).
+//!
+//! The retired seed scanner (`legacy`) is compiled only into this
+//! crate's unit tests, which check it against the token pass over the
+//! whole workspace.
 
 mod allowlist;
+#[cfg(test)]
 mod legacy;
 mod lexer;
 mod lint;
@@ -26,8 +28,7 @@ mod rules;
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: cargo xtask lint [--update-allowlist] [--self-check] [--format text|json]";
+const USAGE: &str = "usage: cargo xtask lint [--update-allowlist] [--format text|json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,17 +46,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let mut update = false;
-    let mut self_check = false;
     let mut format = lint::Format::Text;
     let mut rest = flags;
     while let Some((&flag, tail)) = rest.split_first() {
         match flag {
             "--update-allowlist" => {
                 update = true;
-                rest = tail;
-            }
-            "--self-check" => {
-                self_check = true;
                 rest = tail;
             }
             "--format" => match tail.split_first() {
@@ -77,30 +73,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if self_check {
-        return match lint::self_check(root) {
-            Ok(divergences) if divergences.is_empty() => {
-                println!("self-check clean: legacy scanner and token pass agree");
-                ExitCode::SUCCESS
-            }
-            Ok(divergences) => {
-                for d in &divergences {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "self-check failed: {} file(s) diverge between the legacy scanner \
-                     and the token pass",
-                    divergences.len()
-                );
-                ExitCode::FAILURE
-            }
-            Err(msg) => {
-                eprintln!("xtask: {msg}");
-                ExitCode::from(2)
-            }
-        };
     }
 
     match lint::run(root, update, format) {

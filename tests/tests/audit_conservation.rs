@@ -5,10 +5,10 @@
 //! traffic as the analytic one.
 //!
 //! These tests run the real `Server` pipeline, so they double as a
-//! regression net for the audit wiring in `exec.rs` / `exec_des.rs`.
+//! regression net for the audit wiring in `exec.rs` / `oracles/des.rs`.
 
 use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
-use helm_core::exec_des::run_pipeline_des;
+use helm_core::oracles::run_pipeline_des;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::Policy;
 use helm_core::server::Server;

@@ -11,11 +11,11 @@
 //! corrupt a paper figure.
 
 use helm_core::exec::{LayerCostTable, PipelineInputs, RecordMode};
-use helm_core::exec_des::run_pipeline_des;
 use helm_core::online::{
     run_cluster_mix_cached, run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals,
     SchedulerKind,
 };
+use helm_core::oracles::run_pipeline_des;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::server::Server;

@@ -7,11 +7,9 @@
 //! checks the consequence the autoplace engine relies on: identical
 //! objective values mean an identical winner.
 
-use helm_core::exec::{
-    run_pipeline, run_pipeline_reference, LayerCostTable, PipelineInputs, RecordMode,
-};
-use helm_core::exec_des::run_pipeline_des;
+use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode};
 use helm_core::metrics::RunReport;
+use helm_core::oracles::{run_pipeline_des, run_pipeline_reference};
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::system::SystemConfig;

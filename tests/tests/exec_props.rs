@@ -4,8 +4,8 @@
 //! policies.
 
 use helm_core::exec::{run_pipeline, LayerCostTable, PipelineInputs, RecordMode, SYNC_OVERHEAD};
-use helm_core::exec_des::run_pipeline_des;
 use helm_core::metrics::RunReport;
+use helm_core::oracles::run_pipeline_des;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::system::SystemConfig;

@@ -5,9 +5,10 @@
 //! replicas, and the cancelled-transfer path of the byte auditor.
 
 use helm_core::online::{
-    run_cluster_mix_cached, run_online, AdmissionPolicy, CalibrationCache, ClusterSpec,
-    DeadlineSpec, PoissonArrivals, SchedulerKind,
+    run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec, DeadlineSpec,
+    PoissonArrivals, SchedulerKind,
 };
+use helm_core::oracles::run_online;
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;

@@ -2,9 +2,8 @@
 //! online-serving statistics.
 
 use helm_core::energy::assess;
-use helm_core::online::{
-    run_cluster_mix_cached, run_online, CalibrationCache, ClusterSpec, PoissonArrivals,
-};
+use helm_core::online::{run_cluster_mix_cached, CalibrationCache, ClusterSpec, PoissonArrivals};
+use helm_core::oracles::run_online;
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
